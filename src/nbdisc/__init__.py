@@ -35,11 +35,13 @@ from .discretize import (
 )
 from .evaluate import (
     EvalReport,
+    FittedPipeline,
     PipelineConfig,
     PipelineError,
     cross_validate,
     diagnostics_table,
     emit_report,
+    fit_pipeline,
     format_comparison_table,
     paired_t_test_one_tailed,
     run_fold,

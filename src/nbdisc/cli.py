@@ -31,51 +31,20 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
-from .data import (
-    AttributeKind,
-    Dataset,
-    MISSING_TOKEN,
-    impute_missing,
-    load_csv,
-    load_schema,
-)
-from .discretize import (
-    DEFAULT_BINS,
-    DEFAULT_N0,
-    METHODS,
-    apply_scheme,
-    build_scheme,
-    save_scheme,
-    scheme_from_dict,
-    scheme_to_dict,
-    threshold_curve,
-)
+from .data import AttributeKind, Dataset, MISSING_TOKEN, load_csv, load_schema
+from .discretize import DEFAULT_BINS, DEFAULT_N0, METHODS, save_scheme, threshold_curve
 from .evaluate import (
     CLASSIFIERS,
     EvalReport,
+    FittedPipeline,
     PipelineConfig,
     PipelineError,
     config_from_dict,
     cross_validate,
-    diagnostics_table,
     emit_report,
+    fit_pipeline,
     format_comparison_table,
-)
-from .weighted_nb import (
-    TrainOptions,
-    categorical_vocab,
-    encode_discrete,
-    fit_nb,
-    identity_params,
-    model_from_dict,
-    model_to_dict,
-    posterior_batch,
-    predict_batch,
-    train_cawnb,
-    train_rnb,
-    train_wanbia,
+    whole_data_diagnostics,
 )
 
 MODEL_FORMAT = "nbdisc-model-v1"
@@ -97,9 +66,7 @@ def _print_diagnostics(diag) -> None:
 
 def cmd_discretize(args: argparse.Namespace) -> int:
     data = _load_dataset(args.input, args.schema, args.missing_token)
-    imputed = impute_missing(data, data)
-    scheme = build_scheme(imputed, None, args.method, n0=args.n0, bins=args.bins)
-    diag = diagnostics_table(scheme, apply_scheme(scheme, imputed), imputed.labels)
+    scheme, diag = whole_data_diagnostics(data, args.method, args.n0, args.bins)
     if args.output:
         save_scheme(scheme, args.output)
     _print_diagnostics(diag)
@@ -196,31 +163,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    config = PipelineConfig(
+        method=args.method,
+        classifier=args.classifier,
+        n0=args.n0,
+        bins=args.bins,
+        max_iter=args.max_iter,
+        seed=args.seed,
+    )
     data = _load_dataset(args.input, args.schema, args.missing_token)
-    imputed = impute_missing(data, data)
-    scheme = build_scheme(imputed, None, args.method, n0=args.n0, bins=args.bins)
-    vocab = categorical_vocab([imputed])
-    table = encode_discrete(apply_scheme(scheme, imputed), scheme, vocab)
-    model = fit_nb(table, imputed.labels)
-    opts = TrainOptions(max_iter=args.max_iter)
-    if args.classifier == "nb":
-        params = identity_params(model)
-    elif args.classifier == "wanbia":
-        params = train_wanbia(table, imputed.labels, opts, model=model).params
-    elif args.classifier == "cawnb":
-        params = train_cawnb(table, imputed.labels, opts, model=model).params
-    else:
-        params = train_rnb(table, imputed.labels, opts, model=model).params
-
-    imputation = {}
-    for j, kind in enumerate(data.kinds):
-        present = data.columns[j][~data.missing[:, j]]
-        if kind is AttributeKind.NUMERIC:
-            imputation[data.names[j]] = float(present.mean())
-        else:
-            tokens, counts = np.unique(present.astype(str), return_counts=True)
-            imputation[data.names[j]] = str(min(tokens[counts == counts.max()]))
-
+    fitted, _ = fit_pipeline(data, config)
     doc = {
         "format": MODEL_FORMAT,
         "seed": args.seed,
@@ -235,10 +187,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "schema": [
             {"name": n, "kind": k.value} for n, k in zip(data.names, data.kinds)
         ],
-        "imputation": imputation,
-        "scheme": scheme_to_dict(scheme),
-        "vocab": {str(j): tokens for j, tokens in vocab.items()},
-        "model": model_to_dict(model, params),
+        **fitted.to_dict(),
     }
     Path(args.output).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"model written to {args.output}")
@@ -261,31 +210,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
             f"schema mismatch: model expects columns {expected}, file has {data.names}"
         )
 
-    # Impute with the training statistics stored in the model file.
-    columns = []
-    for j, name in enumerate(data.names):
-        col = data.columns[j].copy()
-        col[data.missing[:, j]] = doc["imputation"][name]
-        columns.append(col)
-    imputed = Dataset(
-        names=data.names,
-        kinds=data.kinds,
-        columns=columns,
-        missing=np.zeros_like(data.missing),
-        labels=data.labels,
-    )
-
-    scheme = scheme_from_dict(doc["scheme"])
-    vocab = {int(j): list(tokens) for j, tokens in doc["vocab"].items()}
-    table = encode_discrete(apply_scheme(scheme, imputed), scheme, vocab)
-    model, params = model_from_dict(doc["model"])
-    predictions = predict_batch(model, params, table.x)
-    posteriors = posterior_batch(model, params, table.x)
+    fitted = FittedPipeline.from_dict(doc)
+    predictions, posteriors = fitted.predict(data)
 
     out = open(args.output, "w", newline="") if args.output else sys.stdout
     try:
         writer = csv.writer(out)
-        writer.writerow(["predicted"] + [f"p_{c}" for c in model.classes])
+        writer.writerow(["predicted"] + [f"p_{c}" for c in fitted.model.classes])
         for label, row in zip(predictions, posteriors):
             writer.writerow([label] + [repr(float(p)) for p in row])
     finally:

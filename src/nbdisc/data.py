@@ -215,32 +215,34 @@ def write_csv(data: Dataset, path: str | Path, missing_token: str = MISSING_TOKE
             writer.writerow(record)
 
 
-def impute_missing(data: Dataset, reference: Dataset) -> Dataset:
-    """Fill missing cells with the reference column mean (numeric) or mode.
+def imputation_values(reference: Dataset) -> list[float | str]:
+    """Per-column fill values: the column mean (numeric) or mode (categorical).
 
-    Mode ties break toward the lexicographically smallest category. The
-    reference is typically the training fold, so test rows never leak their
-    own statistics.
+    Statistics use the reference's present cells only; mode ties break toward
+    the lexicographically smallest category.
     """
-    if reference.names != data.names or reference.kinds != data.kinds:
-        raise ValueError("reference schema mismatch")
-    columns: list[np.ndarray] = []
-    for j, kind in enumerate(data.kinds):
-        col = data.columns[j]
-        miss = data.missing[:, j]
-        ref_present = ~reference.missing[:, j]
-        if not ref_present.any():
-            raise ValueError(f"column {data.names[j]!r} entirely missing in reference")
+    values: list[float | str] = []
+    for j, kind in enumerate(reference.kinds):
+        present = reference.columns[j][~reference.missing[:, j]]
+        if present.size == 0:
+            raise ValueError(f"column {reference.names[j]!r} entirely missing in reference")
         if kind is AttributeKind.NUMERIC:
-            fill = float(reference.columns[j][ref_present].mean())
-            filled = col.copy()
-            filled[miss] = fill
+            values.append(float(present.mean()))
         else:
-            counts = Counter(reference.columns[j][ref_present].tolist())
+            counts = Counter(present.tolist())
             top = max(counts.values())
-            fill = min(tok for tok, c in counts.items() if c == top)
-            filled = col.copy()
-            filled[miss] = fill
+            values.append(min(tok for tok, c in counts.items() if c == top))
+    return values
+
+
+def fill_missing(data: Dataset, values: Sequence[float | str]) -> Dataset:
+    """Copy of ``data`` with each column's missing cells set to its fill value."""
+    if len(values) != data.n_attrs:
+        raise ValueError(f"{len(values)} fill values for {data.n_attrs} attributes")
+    columns = []
+    for j, fill in enumerate(values):
+        filled = data.columns[j].copy()
+        filled[data.missing[:, j]] = fill
         columns.append(filled)
     return Dataset(
         names=list(data.names),
@@ -249,6 +251,17 @@ def impute_missing(data: Dataset, reference: Dataset) -> Dataset:
         missing=np.zeros_like(data.missing),
         labels=data.labels.copy(),
     )
+
+
+def impute_missing(data: Dataset, reference: Dataset) -> Dataset:
+    """Fill missing cells with the reference's ``imputation_values``.
+
+    The reference is typically the training fold, so test rows never leak
+    their own statistics.
+    """
+    if reference.names != data.names or reference.kinds != data.kinds:
+        raise ValueError("reference schema mismatch")
+    return fill_missing(data, imputation_values(reference))
 
 
 @dataclass(frozen=True)

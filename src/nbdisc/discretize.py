@@ -85,9 +85,7 @@ def class_entropy(counts: ClassCounts) -> float:
     """Entropy of the class distribution, in bits; 0*log(0) counts as 0."""
     if counts.n < 1:
         raise ValueError("entropy of an empty set is undefined")
-    positive = counts.counts[counts.counts > 0]
-    p = positive / counts.n
-    return float(-(p * np.log2(p)).sum())
+    return float(_entropy_rows(counts.counts[None, :])[0])
 
 
 def information_gain(parent: ClassCounts, cand: CutCandidate) -> float:
@@ -105,16 +103,9 @@ def information_gain(parent: ClassCounts, cand: CutCandidate) -> float:
 
 def mdlp_threshold(parent: ClassCounts, cand: CutCandidate) -> float:
     """Minimum gain required to accept a split of ``parent`` at ``cand``."""
-    n = parent.n
-    if n < 2:
+    if parent.n < 2:
         raise ValueError("threshold undefined for fewer than 2 samples")
-    k = parent.k
-    delta = math.log2(3**k - 2) - (
-        k * class_entropy(parent)
-        - cand.left.k * class_entropy(cand.left)
-        - cand.right.k * class_entropy(cand.right)
-    )
-    return math.log2(n - 1) / n + delta / n
+    return _mdlp_threshold(parent.counts, cand.left.counts, cand.right.counts)
 
 
 def sadd_threshold(theta: float, n: int, n0: int) -> float:
@@ -170,12 +161,10 @@ def _best_split(
     return int(positions[best]), float(max(gains[best], 0.0))
 
 
-def _split_threshold(prefix: np.ndarray, lo: int, hi: int, pos: int) -> float:
-    parent = prefix[hi] - prefix[lo]
-    left = prefix[pos] - prefix[lo]
-    right = parent - left
+def _mdlp_threshold(parent: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
+    """Coding-cost threshold for splitting class counts ``parent`` into ``left`` + ``right``."""
+    n = int(parent.sum())
     k = int((parent > 0).sum())
-    n = hi - lo
     delta = math.log2(3**k - 2) - (
         k * _entropy_rows(parent[None, :])[0]
         - int((left > 0).sum()) * _entropy_rows(left[None, :])[0]
@@ -206,7 +195,9 @@ def _partition(values: np.ndarray, labels: np.ndarray, n0: int | None) -> list[f
         if found is None:
             continue
         pos, gain = found
-        theta = _split_threshold(prefix, lo, hi, pos)
+        parent = prefix[hi] - prefix[lo]
+        left = prefix[pos] - prefix[lo]
+        theta = _mdlp_threshold(parent, left, parent - left)
         if n0 is not None:
             theta = sigmoid((hi - lo) / n0) * theta
         if gain > theta:

@@ -1,11 +1,13 @@
 """Cross-validation pipelines, significance tests, and report emission.
 
-Fold pipeline order: impute with training statistics; optionally tune k and
-pseudo-label the unlabeled pool (unlabeled training rows in partial-label
-mode, plus the test rows' features when transductive); derive the cut-point
-scheme from labeled plus pseudo-labeled rows; apply it to both partitions;
-fit the classifier on labeled training rows only; score the test rows.
-True test labels are used for nothing but the final accuracy.
+Pipeline order (``fit_pipeline``): impute with training statistics;
+optionally tune k and pseudo-label the unlabeled pool (unlabeled training
+rows in partial-label mode, plus the test rows' features when
+transductive); derive the cut-point scheme from labeled plus pseudo-labeled
+rows; fit the classifier on labeled training rows only.  The resulting
+``FittedPipeline`` scores new rows and is what ``nbdisc train`` saves.  A
+cross-validation fold fits on its training rows and scores its test rows;
+true test labels are used for nothing but the final accuracy.
 
 Accuracies are fractions in [0, 1]; reports format them as percentages.
 The one-tailed paired t-test normalizes differences by the n-denominator
@@ -28,6 +30,8 @@ from scipy import stats
 from .data import (
     Dataset,
     concat_rows,
+    fill_missing,
+    imputation_values,
     impute_missing,
     split_labeled_fraction,
     stratified_folds,
@@ -40,15 +44,21 @@ from .discretize import (
     apply_scheme,
     build_scheme,
     mutual_information,
+    scheme_from_dict,
+    scheme_to_dict,
 )
 from .pseudo import DEFAULT_K_GRID, KnnConfig, pseudo_label, select_k
 from .weighted_nb import (
+    NbModel,
     TrainOptions,
+    WeightedParams,
     categorical_vocab,
     encode_discrete,
     fit_nb,
     identity_params,
-    predict_batch,
+    model_from_dict,
+    model_to_dict,
+    posterior_batch,
     train_cawnb,
     train_rnb,
     train_wanbia,
@@ -127,48 +137,70 @@ class FoldResult:
     predictions: list[str]
 
 
-def _scheme_inputs(
-    labeled: Dataset,
-    pool: Dataset | None,
-    config: PipelineConfig,
-    k_seed: int,
-) -> tuple[Dataset, np.ndarray, int | None]:
-    """Data and labels feeding scheme derivation, pseudo-labeling the pool.
+@dataclass
+class FittedPipeline:
+    """A fitted pipeline: what scoring new rows needs, and nothing else.
 
-    With an empty pool this reduces to the plain supervised path, so the
-    transductive and inductive pipelines coincide when nothing is unlabeled.
+    ``fill`` holds one imputation value per attribute, from the training rows.
     """
-    if pool is None or pool.n_rows == 0:
-        return labeled, labeled.labels, None
-    k = select_k(labeled, config.k_grid, k_seed)
-    pseudo = pseudo_label(labeled, pool, KnnConfig(k))
-    combined = concat_rows([labeled, pool])
-    labels = np.concatenate([labeled.labels, pseudo])
-    return combined, labels, k
+
+    fill: list[float | str]
+    scheme: DiscretizationScheme
+    vocab: dict[int, list[str]]
+    model: NbModel
+    params: WeightedParams
+
+    def predict(self, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+        """Predicted class tokens and the (rows, classes) blended posteriors."""
+        imputed = fill_missing(data, self.fill)
+        table = encode_discrete(apply_scheme(self.scheme, imputed), self.scheme, self.vocab)
+        posteriors = posterior_batch(self.model, self.params, table.x)
+        labels = np.array(self.model.classes, dtype=object)[posteriors.argmax(axis=1)]
+        return labels, posteriors
+
+    def to_dict(self) -> dict:
+        """JSON-ready form; the body of an ``nbdisc train`` model file."""
+        return {
+            "imputation": dict(zip(self.scheme.names, self.fill)),
+            "scheme": scheme_to_dict(self.scheme),
+            "vocab": {str(j): tokens for j, tokens in self.vocab.items()},
+            "model": model_to_dict(self.model, self.params),
+        }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "FittedPipeline":
+        scheme = scheme_from_dict(doc["scheme"])
+        model, params = model_from_dict(doc["model"])
+        return cls(
+            fill=[doc["imputation"][name] for name in scheme.names],
+            scheme=scheme,
+            vocab={int(j): list(tokens) for j, tokens in doc["vocab"].items()},
+            model=model,
+            params=params,
+        )
 
 
-def run_fold(
-    data: Dataset,
-    train_rows: Sequence[int] | np.ndarray,
-    test_rows: Sequence[int] | np.ndarray,
+def fit_pipeline(
+    train: Dataset,
     config: PipelineConfig,
     seed: int | None = None,
-) -> FoldResult:
-    """Run the full pipeline on one train/test split and score the test rows."""
-    train_rows = np.asarray(train_rows, dtype=int)
-    test_rows = np.asarray(test_rows, dtype=int)
-    if np.intersect1d(train_rows, test_rows).size:
-        raise PipelineError("setup", "train and test rows overlap")
-    if train_rows.size == 0 or test_rows.size == 0:
-        raise PipelineError("setup", "train and test rows must be non-empty")
-    seed = config.seed if seed is None else seed
+    test: Dataset | None = None,
+) -> tuple[FittedPipeline, int | None]:
+    """Fit imputation, discretization and classifier on the ``train`` rows.
 
+    ``test`` contributes features only: its categories join the vocabulary,
+    and with a transductive pseudo-labeling config its rows join the pool.
+    Returns the fitted pipeline and the k chosen for pseudo-labeling (None
+    when nothing was pseudo-labeled).
+    """
+    seed = config.seed if seed is None else seed
     stage = "impute"
     try:
-        train = data.subset(train_rows)
-        test = data.subset(test_rows)
+        # impute_missing, not fill_missing: the benchmark's trace times the
+        # training rows' imputation under that name
         imp_train = impute_missing(train, train)
-        imp_test = impute_missing(test, train)
+        fill = imputation_values(train)
+        imp_test = None if test is None else fill_missing(test, fill)
 
         stage = "split"
         if config.labeled_fraction < 1.0:
@@ -186,16 +218,16 @@ def run_fold(
 
         stage = "pseudo-label"
         selected_k = None
-        if config.uses_pseudo_labels:
-            parts = []
-            if unlabeled is not None and unlabeled.n_rows:
-                parts.append(unlabeled)
-            if config.transductive:
-                parts.append(imp_test)
-            pool = concat_rows(parts) if parts else None
-            scheme_data, scheme_labels, selected_k = _scheme_inputs(
-                labeled, pool, config, _child_seed(seed, 2)
-            )
+        # an empty pool leaves the plain supervised path, so the transductive
+        # and inductive pipelines coincide when nothing is unlabeled
+        parts = [unlabeled, imp_test if config.transductive else None]
+        parts = [part for part in parts if part is not None and part.n_rows]
+        if config.uses_pseudo_labels and parts:
+            pool = concat_rows(parts)
+            selected_k = select_k(labeled, config.k_grid, _child_seed(seed, 2))
+            pseudo = pseudo_label(labeled, pool, KnnConfig(selected_k))
+            scheme_data = concat_rows([labeled, pool])
+            scheme_labels = np.concatenate([labeled.labels, pseudo])
         elif config.method in ("eqw", "eqf"):
             scheme_data, scheme_labels = imp_train, imp_train.labels
         else:
@@ -205,32 +237,54 @@ def run_fold(
         scheme = build_scheme(
             scheme_data, scheme_labels, config.method, n0=config.n0, bins=config.bins
         )
-        vocab = categorical_vocab([imp_train, imp_test])
-        table_train = encode_discrete(apply_scheme(scheme, labeled), scheme, vocab)
-        table_test = encode_discrete(apply_scheme(scheme, imp_test), scheme, vocab)
+        vocab = categorical_vocab([imp_train] if imp_test is None else [imp_train, imp_test])
+        table = encode_discrete(apply_scheme(scheme, labeled), scheme, vocab)
 
         stage = "fit"
-        model = fit_nb(table_train, labeled.labels)
+        model = fit_nb(table, labeled.labels)
         opts = TrainOptions(max_iter=config.max_iter, tol=config.tol)
         if config.classifier == "nb":
             params = identity_params(model)
         elif config.classifier == "wanbia":
-            params = train_wanbia(table_train, labeled.labels, opts, model=model).params
+            params = train_wanbia(table, labeled.labels, opts, model=model).params
         elif config.classifier == "cawnb":
-            params = train_cawnb(table_train, labeled.labels, opts, model=model).params
+            params = train_cawnb(table, labeled.labels, opts, model=model).params
         else:
-            params = train_rnb(table_train, labeled.labels, opts, model=model).params
-
-        stage = "predict"
-        predictions = predict_batch(model, params, table_test.x)
-        accuracy = float(np.mean(predictions == test.labels))
+            params = train_rnb(table, labeled.labels, opts, model=model).params
     except PipelineError:
         raise
     except Exception as exc:
         raise PipelineError(stage, str(exc)) from exc
+    return FittedPipeline(fill, scheme, vocab, model, params), selected_k
 
+
+def run_fold(
+    data: Dataset,
+    train_rows: Sequence[int] | np.ndarray,
+    test_rows: Sequence[int] | np.ndarray,
+    config: PipelineConfig,
+    seed: int | None = None,
+) -> FoldResult:
+    """Fit the pipeline on one train/test split and score the test rows."""
+    train_rows = np.asarray(train_rows, dtype=int)
+    test_rows = np.asarray(test_rows, dtype=int)
+    if np.intersect1d(train_rows, test_rows).size:
+        raise PipelineError("setup", "train and test rows overlap")
+    if train_rows.size == 0 or test_rows.size == 0:
+        raise PipelineError("setup", "train and test rows must be non-empty")
+    rows = np.concatenate([train_rows, test_rows])
+    if rows.min() < 0 or rows.max() >= data.n_rows:
+        raise PipelineError("setup", "row index out of range")
+    test = data.subset(test_rows)
+    fitted, selected_k = fit_pipeline(data.subset(train_rows), config, seed, test=test)
+    try:
+        predictions, _ = fitted.predict(test)
+    except Exception as exc:
+        raise PipelineError("predict", str(exc)) from exc
     return FoldResult(
-        accuracy=accuracy, selected_k=selected_k, predictions=predictions.tolist()
+        accuracy=float(np.mean(predictions == test.labels)),
+        selected_k=selected_k,
+        predictions=predictions.tolist(),
     )
 
 
@@ -292,6 +346,15 @@ class EvalReport:
         return float(np.std(self.fold_accuracies, ddof=1))
 
 
+def whole_data_diagnostics(
+    data: Dataset, method: str, n0: int = DEFAULT_N0, bins: int = DEFAULT_BINS
+) -> tuple[DiscretizationScheme, DiagnosticsTable]:
+    """Scheme built on all rows (self-imputed) and its diagnostics table."""
+    imputed = impute_missing(data, data)
+    scheme = build_scheme(imputed, None, method, n0=n0, bins=bins)
+    return scheme, diagnostics_table(scheme, apply_scheme(scheme, imputed), imputed.labels)
+
+
 def cross_validate(
     data: Dataset,
     config: PipelineConfig,
@@ -318,9 +381,7 @@ def cross_validate(
 
     diag = None
     if with_diagnostics:
-        imputed = impute_missing(data, data)
-        scheme = build_scheme(imputed, None, config.method, n0=config.n0, bins=config.bins)
-        diag = diagnostics_table(scheme, apply_scheme(scheme, imputed), imputed.labels)
+        _, diag = whole_data_diagnostics(data, config.method, config.n0, config.bins)
 
     return EvalReport(
         dataset=dataset_name,

@@ -171,9 +171,7 @@ def knn_predict(
     labeled_x = np.asarray(labeled_x, dtype=float)
     if labeled_x.shape[0] == 0:
         raise ValueError("no labeled rows")
-    labels = np.asarray(labeled_y, dtype=object)
-    classes = sorted(set(labels.tolist()))
-    codes = np.array([classes.index(t) for t in labels])
+    classes, codes = np.unique(np.asarray(labeled_y, dtype=object), return_inverse=True)
     if space is None:
         space = _all_numeric_space(labeled_x.shape[1])
     pred = _predict_codes(space, labeled_x, codes, np.asarray(query_row, float)[None, :], config.k)
@@ -215,8 +213,8 @@ def select_k(
     space = FeatureSpace.fit(fit)
     ref = space.encode(fit)
     queries = space.encode(val)
-    classes = sorted(set(fit.labels.tolist()))
-    codes = np.array([classes.index(t) for t in fit.labels])
+    classes, codes = np.unique(fit.labels, return_inverse=True)
+    classes = classes.tolist()
 
     feasible = [k for k in sorted(set(int(k) for k in grid)) if 1 <= k <= fit.n_rows]
     if not feasible:
@@ -247,7 +245,5 @@ def pseudo_label(labeled: Dataset, unlabeled: Dataset, config: KnnConfig) -> np.
     space = FeatureSpace.fit(labeled)
     ref = space.encode(labeled)
     queries = space.encode(unlabeled)
-    classes = sorted(set(labeled.labels.tolist()))
-    codes = np.array([classes.index(t) for t in labeled.labels])
-    pred = _predict_codes(space, ref, codes, queries, config.k)
-    return np.array([classes[p] for p in pred], dtype=object)
+    classes, codes = np.unique(labeled.labels, return_inverse=True)
+    return classes[_predict_codes(space, ref, codes, queries, config.k)]

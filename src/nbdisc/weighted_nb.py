@@ -145,8 +145,8 @@ def fit_nb(table: DiscreteTable, labels: Sequence[str] | np.ndarray) -> NbModel:
         raise ValueError("empty training set")
     if len(labels) != n:
         raise ValueError("labels must align with rows")
-    classes = sorted(set(labels.tolist()))
-    codes = np.array([classes.index(t) for t in labels])
+    classes, codes = np.unique(labels, return_inverse=True)
+    classes = classes.tolist()
     class_counts = np.bincount(codes, minlength=len(classes)).astype(np.int64)
     priors = (class_counts + 1.0) / (n + len(classes))
     cond = []
@@ -319,17 +319,25 @@ class TrainResult:
     objectives: list[float] = field(default_factory=list)
 
 
+def _alpha(variant: str, a: float) -> float:
+    """Blend coefficient: sigmoid(a) for ``rnb``, fixed at 0 (``wanbia``) or 1 (``cawnb``)."""
+    if variant == "rnb":
+        return 1.0 / (1.0 + math.exp(-a))
+    return 1.0 if variant == "cawnb" else 0.0
+
+
 def _train(
     table: DiscreteTable,
     labels: Sequence[str] | np.ndarray,
-    *,
-    fit_w_class: bool,
-    fit_w_shared: bool,
-    fit_alpha: bool,
-    alpha0: float,
+    variant: str,
     opts: TrainOptions,
     model: NbModel | None,
 ) -> TrainResult:
+    """Gradient descent from all-one exponents.
+
+    ``rnb`` fits W, w and alpha; ``wanbia`` fits only w and ``cawnb`` only
+    W, with alpha fixed so that the untrained exponents drop out.
+    """
     model = fit_nb(table, labels) if model is None else model
     if model.n_classes < 2:
         raise ValueError("need at least 2 classes")
@@ -343,7 +351,7 @@ def _train(
     W = np.ones((model.n_classes, model.n_attrs))
     w = np.ones(model.n_attrs)
     a = 0.0
-    alpha = 1.0 / (1.0 + math.exp(-a)) if fit_alpha else alpha0
+    alpha = _alpha(variant, a)
 
     value = evaluate(W, w, alpha)
     if not math.isfinite(value):
@@ -352,12 +360,10 @@ def _train(
 
     for _ in range(opts.max_iter):
         grad_W, grad_w, grad_a = gradient(model, WeightedParams(W, w, alpha), table.x, labels)
-        if not fit_w_class:
-            grad_W = np.zeros_like(grad_W)
-        if not fit_w_shared:
-            grad_w = np.zeros_like(grad_w)
-        if not fit_alpha:
-            grad_a = 0.0
+        if variant == "wanbia":
+            grad_W, grad_a = np.zeros_like(grad_W), 0.0
+        elif variant == "cawnb":
+            grad_w, grad_a = np.zeros_like(grad_w), 0.0
         grad_sq = float((grad_W**2).sum() + (grad_w**2).sum() + grad_a**2)
         if grad_sq == 0.0 or not math.isfinite(grad_sq):
             break
@@ -368,7 +374,7 @@ def _train(
             W_new = W - step * grad_W
             w_new = w - step * grad_w
             a_new = a - step * grad_a
-            alpha_new = 1.0 / (1.0 + math.exp(-a_new)) if fit_alpha else alpha0
+            alpha_new = _alpha(variant, a_new)
             value_new = evaluate(W_new, w_new, alpha_new)
             if math.isfinite(value_new) and value_new <= value - opts.armijo_c * step * grad_sq:
                 accepted = (W_new, w_new, a_new, alpha_new, value_new)
@@ -393,16 +399,7 @@ def train_rnb(
     model: NbModel | None = None,
 ) -> TrainResult:
     """Fit W, w and the blend coefficient jointly."""
-    return _train(
-        table,
-        labels,
-        fit_w_class=True,
-        fit_w_shared=True,
-        fit_alpha=True,
-        alpha0=0.5,
-        opts=opts or TrainOptions(),
-        model=model,
-    )
+    return _train(table, labels, "rnb", opts or TrainOptions(), model)
 
 
 def train_wanbia(
@@ -412,16 +409,7 @@ def train_wanbia(
     model: NbModel | None = None,
 ) -> TrainResult:
     """Class-shared exponents only (alpha fixed at 0)."""
-    return _train(
-        table,
-        labels,
-        fit_w_class=False,
-        fit_w_shared=True,
-        fit_alpha=False,
-        alpha0=0.0,
-        opts=opts or TrainOptions(),
-        model=model,
-    )
+    return _train(table, labels, "wanbia", opts or TrainOptions(), model)
 
 
 def train_cawnb(
@@ -431,16 +419,7 @@ def train_cawnb(
     model: NbModel | None = None,
 ) -> TrainResult:
     """Class-specific exponents only (alpha fixed at 1)."""
-    return _train(
-        table,
-        labels,
-        fit_w_class=True,
-        fit_w_shared=False,
-        fit_alpha=False,
-        alpha0=1.0,
-        opts=opts or TrainOptions(),
-        model=model,
-    )
+    return _train(table, labels, "cawnb", opts or TrainOptions(), model)
 
 
 # --- serialization -----------------------------------------------------------

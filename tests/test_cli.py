@@ -9,6 +9,7 @@ import pytest
 
 from nbdisc.cli import main
 from nbdisc.discretize import load_scheme
+from nbdisc.evaluate import PipelineConfig, fit_pipeline
 
 
 @pytest.fixture()
@@ -144,6 +145,27 @@ class TestTrainPredict:
         assert main(["predict", str(model_path), str(query)]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[1].startswith("A,")
+
+
+    def test_cli_matches_library(self, iris_path, iris, tmp_path):
+        model_path = tmp_path / "model.json"
+        preds_path = tmp_path / "preds.csv"
+        assert main(["train", str(iris_path), "--classifier", "wanbia", "--max-iter", "20",
+                     "--output", str(model_path)]) == 0
+        assert main(["predict", str(model_path), str(iris_path), "--output", str(preds_path)]) == 0
+        rows = list(csv.reader(preds_path.open()))[1:]
+
+        config = PipelineConfig(method="sadd", classifier="wanbia", max_iter=20)
+        labels, posteriors = fit_pipeline(iris, config)[0].predict(iris)
+        assert [r[0] for r in rows] == labels.tolist()
+        assert np.array_equal([[float(v) for v in r[1:]] for r in rows], posteriors)
+
+    def test_negative_seed_rejected(self, separable_csv, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        code = main(["train", str(separable_csv), "--seed", "-1", "--output", str(model_path)])
+        assert code == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not model_path.exists()
 
 
 def write_manifest(tmp_path, iris_path, configs, **extra):

@@ -12,6 +12,7 @@ from helpers import make_dataset
 from nbdisc.data import stratified_folds
 from nbdisc.evaluate import (
     EvalReport,
+    FittedPipeline,
     PipelineConfig,
     PipelineError,
     config_from_dict,
@@ -20,6 +21,7 @@ from nbdisc.evaluate import (
     cross_validate,
     diagnostics_table,
     emit_report,
+    fit_pipeline,
     format_comparison_table,
     load_results,
     paired_t_test_one_tailed,
@@ -152,6 +154,10 @@ class TestRunFold:
         with pytest.raises(PipelineError, match="non-empty"):
             run_fold(iris, [0, 1, 2], [], PipelineConfig())
 
+    def test_out_of_range_rows_rejected(self, iris):
+        with pytest.raises(PipelineError, match=r"\[setup\] row index out of range"):
+            run_fold(iris, [0, 1, 2], [150], PipelineConfig())
+
     def test_true_test_labels_only_affect_accuracy(self, iris):
         # scrambling the test-row labels must leave predictions unchanged
         plan = stratified_folds(iris, 10, seed=3)
@@ -187,6 +193,43 @@ class TestRunFold:
         rows = np.arange(toy_mixed.n_rows)
         with pytest.raises(PipelineError, match=r"\[pseudo-label\]"):
             run_fold(toy_mixed, rows[:6], rows[6:], config)
+
+
+class TestFittedPipeline:
+    def test_round_trip_gives_bit_equal_posteriors(self, toy_mixed):
+        config = PipelineConfig(method="mdlp", classifier="rnb", max_iter=20)
+        fitted, _ = fit_pipeline(toy_mixed, config)
+        restored = FittedPipeline.from_dict(json.loads(json.dumps(fitted.to_dict())))
+        query = make_dataset(
+            {
+                "temp": [24.0, 0.0, 31.0],
+                "color": ["green", "red", "?"],
+                "size": ["small", "?", "huge"],
+            },
+            ["A", "A", "B"],
+            missing=[(1, 0), (2, 1), (1, 2)],
+        )
+        for data in (toy_mixed, query):  # missing cells; unseen "green" and "huge"
+            labels, posteriors = fitted.predict(data)
+            labels2, posteriors2 = restored.predict(data)
+            assert labels.tolist() == labels2.tolist()
+            assert np.array_equal(posteriors, posteriors2)
+            assert np.allclose(posteriors.sum(axis=1), 1.0)
+
+    def test_fill_values_come_from_training_rows(self, toy_mixed):
+        fitted, k = fit_pipeline(toy_mixed, PipelineConfig(method="mdlp"))
+        temps = toy_mixed.columns[0][~toy_mixed.missing[:, 0]]
+        assert fitted.fill == [float(temps.mean()), "blue", "large"]
+        assert k is None
+
+    def test_run_fold_is_fit_then_predict(self, iris):
+        plan = stratified_folds(iris, 10, seed=0)
+        train, test = plan.train_rows(4), plan.test_rows(4)
+        config = PipelineConfig(method="sadd", classifier="cawnb", max_iter=10)
+        result = run_fold(iris, train, test, config, seed=3)
+        fitted, k = fit_pipeline(iris.subset(train), config, seed=3, test=iris.subset(test))
+        assert result.predictions == fitted.predict(iris.subset(test))[0].tolist()
+        assert result.selected_k == k
 
 
 class TestCrossValidate:

@@ -294,8 +294,17 @@ class TestTrainers:
 
     def test_alpha_fixed_per_variant(self, iris_table):
         table, labels = iris_table
-        assert train_wanbia(table, labels, TrainOptions(max_iter=3)).params.alpha == 0.0
-        assert train_cawnb(table, labels, TrainOptions(max_iter=3)).params.alpha == 1.0
+        opts = TrainOptions(max_iter=3)
+        wanbia = train_wanbia(table, labels, opts).params
+        cawnb = train_cawnb(table, labels, opts).params
+        rnb = train_rnb(table, labels, opts).params
+        assert wanbia.alpha == 0.0
+        assert cawnb.alpha == 1.0
+        # each variant moves exactly the parameters it trains
+        assert (wanbia.W == 1.0).all() and not (wanbia.w == 1.0).all()
+        assert (cawnb.w == 1.0).all() and not (cawnb.W == 1.0).all()
+        assert not (rnb.W == 1.0).all() and not (rnb.w == 1.0).all()
+        assert rnb.alpha != 0.5
 
     def test_class_specific_at_least_as_tight_as_shared(self, iris_table):
         table, labels = iris_table
