@@ -34,10 +34,11 @@ DEFAULT_BINS = 10
 
 
 def sigmoid(x: float) -> float:
-    if x >= 0:
+    """1 / (1 + exp(-x)), and 0.0 where exp(-x) overflows."""
+    try:
         return 1.0 / (1.0 + math.exp(-x))
-    z = math.exp(x)
-    return z / (1.0 + z)
+    except OverflowError:
+        return 0.0
 
 
 @dataclass(eq=False)
@@ -409,6 +410,8 @@ class ThresholdCurveRow:
 
 def threshold_curve(n_values: Iterable[int], n0_list: Sequence[int]) -> list[ThresholdCurveRow]:
     """Tabulate log2(n-1)/n and its sigmoid-scaled versions for plotting."""
+    if any(n0 < 1 for n0 in n0_list):
+        raise ValueError("n0 must be at least 1")
     rows = []
     for n in n_values:
         if n < 2:

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
 from .data import (
     Dataset,
@@ -424,7 +424,7 @@ def paired_t_test_one_tailed(
             return TTestResult(t=math.inf, p=0.0, significant=True)
         return TTestResult(t=-math.inf, p=1.0, significant=False)
     t = mean / (spread / math.sqrt(n))
-    p = float(stats.t.sf(t, n - 1))
+    p = float(stdtr(n - 1, -t))  # the t distribution's survival function at t
     return TTestResult(t=t, p=p, significant=p < 0.05)
 
 

@@ -15,7 +15,8 @@ final posterior blends them,
 and all of W, w and alpha (through a sigmoid reparameterization) are fit by
 gradient descent with Armijo backtracking on the mean squared error between
 the blended posterior and the one-hot label, so the objective never
-increases.  Prediction takes the class with maximal posterior.
+increases.  Each step's gradient reuses the posteriors of the accepted
+line-search trial.  Prediction takes the class with maximal posterior.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import AttributeKind, Dataset
-from .discretize import DiscretizationScheme
+from .discretize import DiscretizationScheme, sigmoid
 
 
 @dataclass
@@ -194,14 +195,13 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
 
 
 def _posteriors(
-    model: NbModel, params: WeightedParams, loglik: np.ndarray
+    model: NbModel, W: np.ndarray, w: np.ndarray, alpha: float, loglik: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Blended, class-specific and class-shared posteriors for every row of ``loglik``."""
     logprior = np.log(model.priors)
-    s_class = logprior[None, :] + np.einsum("icj,cj->ic", loglik, params.W)
-    s_shared = logprior[None, :] + np.einsum("icj,j->ic", loglik, params.w)
-    p_class = _softmax(s_class)
-    p_shared = _softmax(s_shared)
-    return params.alpha * p_class + (1 - params.alpha) * p_shared, p_class, p_shared
+    p_class = _softmax(logprior[None, :] + np.einsum("icj,cj->ic", loglik, W))
+    p_shared = _softmax(logprior[None, :] + np.einsum("icj,j->ic", loglik, w))
+    return alpha * p_class + (1 - alpha) * p_shared, p_class, p_shared
 
 
 def weighted_log_posterior(
@@ -227,15 +227,12 @@ def posterior_blend(
     x = np.asarray(x, dtype=np.int64)
     if (x < 0).any():
         raise ValueError("value index out of arity range")
-    loglik = _log_likelihoods(model, x[None, :])
-    blended, _, _ = _posteriors(model, params, loglik)
-    return blended[0]
+    return posterior_batch(model, params, x[None, :])[0]
 
 
 def posterior_batch(model: NbModel, params: WeightedParams, x: np.ndarray) -> np.ndarray:
     loglik = _log_likelihoods(model, x)
-    blended, _, _ = _posteriors(model, params, loglik)
-    return blended
+    return _posteriors(model, params.W, params.w, params.alpha, loglik)[0]
 
 
 def predict(model: NbModel, params: WeightedParams, x: Sequence[int] | np.ndarray) -> str:
@@ -252,14 +249,35 @@ def predict_batch(model: NbModel, params: WeightedParams, x: np.ndarray) -> np.n
 # --- posterior-matching objective -------------------------------------------
 
 
-def _onehot(codes: np.ndarray, n_classes: int) -> np.ndarray:
-    out = np.zeros((len(codes), n_classes))
-    out[np.arange(len(codes)), codes] = 1.0
-    return out
+def _targets(model: NbModel, labels: Sequence[str] | np.ndarray) -> np.ndarray:
+    """One-hot (n, C) targets; a label outside ``model.classes`` raises ValueError."""
+    index = {c: i for i, c in enumerate(model.classes)}
+    try:
+        codes = [index[t] for t in np.asarray(labels, dtype=object)]
+    except KeyError as exc:
+        raise ValueError(f"label {exc.args[0]!r} is not a model class") from None
+    return np.eye(model.n_classes)[codes]
 
 
-def _label_codes(model: NbModel, labels: Sequence[str] | np.ndarray) -> np.ndarray:
-    return np.array([model.classes.index(t) for t in np.asarray(labels, dtype=object)])
+def _loss(blended: np.ndarray, target: np.ndarray) -> float:
+    return float(((blended - target) ** 2).sum(axis=1).mean())
+
+
+def _grad(
+    loglik: np.ndarray, target: np.ndarray, alpha: float,
+    blended: np.ndarray, p_class: np.ndarray, p_shared: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Gradient of ``_loss`` w.r.t. (W, w, a) at the point whose posteriors are given."""
+    residual = 2.0 * (blended - target) / len(loglik)
+
+    row_dot = (residual * p_class).sum(axis=1, keepdims=True)
+    grad_W = alpha * np.einsum("ic,icj->cj", p_class * (residual - row_dot), loglik)
+
+    row_dot = (residual * p_shared).sum(axis=1, keepdims=True)
+    grad_w = (1 - alpha) * np.einsum("ic,icj->j", p_shared * (residual - row_dot), loglik)
+
+    grad_a = alpha * (1 - alpha) * float((residual * (p_class - p_shared)).sum())
+    return grad_W, grad_w, grad_a
 
 
 def objective(
@@ -271,10 +289,7 @@ def objective(
     """Mean squared error between blended posteriors and one-hot labels."""
     if len(x) == 0:
         raise ValueError("empty data")
-    loglik = _log_likelihoods(model, x)
-    blended, _, _ = _posteriors(model, params, loglik)
-    target = _onehot(_label_codes(model, labels), model.n_classes)
-    return float(((blended - target) ** 2).sum(axis=1).mean())
+    return _loss(posterior_batch(model, params, x), _targets(model, labels))
 
 
 def gradient(
@@ -285,20 +300,8 @@ def gradient(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Analytic gradient of the objective w.r.t. (W, w, a) with alpha = s(a)."""
     loglik = _log_likelihoods(model, x)
-    blended, p_class, p_shared = _posteriors(model, params, loglik)
-    target = _onehot(_label_codes(model, labels), model.n_classes)
-    residual = 2.0 * (blended - target) / len(x)
-
-    row_dot = (residual * p_class).sum(axis=1, keepdims=True)
-    t_class = p_class * (residual - row_dot)
-    grad_W = params.alpha * np.einsum("ic,icj->cj", t_class, loglik)
-
-    row_dot = (residual * p_shared).sum(axis=1, keepdims=True)
-    t_shared = p_shared * (residual - row_dot)
-    grad_w = (1 - params.alpha) * np.einsum("ic,icj->j", t_shared, loglik)
-
-    grad_a = params.alpha * (1 - params.alpha) * float((residual * (p_class - p_shared)).sum())
-    return grad_W, grad_w, grad_a
+    post = _posteriors(model, params.W, params.w, params.alpha, loglik)
+    return _grad(loglik, _targets(model, labels), params.alpha, *post)
 
 
 # --- training ----------------------------------------------------------------
@@ -312,18 +315,17 @@ class TrainOptions:
     init_step: float = 1.0
     min_step: float = 1e-12
 
+    def __post_init__(self) -> None:
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be at least 0")
+        if not (0 < self.init_step < math.inf and 0 < self.min_step < math.inf):
+            raise ValueError("init_step and min_step must be finite and greater than 0")
+
 
 @dataclass
 class TrainResult:
     params: WeightedParams
     objectives: list[float] = field(default_factory=list)
-
-
-def _alpha(variant: str, a: float) -> float:
-    """Blend coefficient: sigmoid(a) for ``rnb``, fixed at 0 (``wanbia``) or 1 (``cawnb``)."""
-    if variant == "rnb":
-        return 1.0 / (1.0 + math.exp(-a))
-    return 1.0 if variant == "cawnb" else 0.0
 
 
 def _train(
@@ -342,24 +344,21 @@ def _train(
     if model.n_classes < 2:
         raise ValueError("need at least 2 classes")
     loglik = _log_likelihoods(model, table.x)
-    target = _onehot(_label_codes(model, labels), model.n_classes)
-
-    def evaluate(W, w, alpha):
-        blended, _, _ = _posteriors(model, WeightedParams(W, w, alpha), loglik)
-        return float(((blended - target) ** 2).sum(axis=1).mean())
+    target = _targets(model, labels)
 
     W = np.ones((model.n_classes, model.n_attrs))
     w = np.ones(model.n_attrs)
-    a = 0.0
-    alpha = _alpha(variant, a)
-
-    value = evaluate(W, w, alpha)
+    # alpha = sigmoid(a); a = -inf / +inf pins it at exactly 0 (wanbia) / 1 (cawnb)
+    a = {"rnb": 0.0, "wanbia": -math.inf, "cawnb": math.inf}[variant]
+    alpha = sigmoid(a)
+    post = _posteriors(model, W, w, alpha, loglik)
+    value = _loss(post[0], target)
     if not math.isfinite(value):
         raise RuntimeError("non-finite objective at initialization")
     trace = [value]
 
     for _ in range(opts.max_iter):
-        grad_W, grad_w, grad_a = gradient(model, WeightedParams(W, w, alpha), table.x, labels)
+        grad_W, grad_w, grad_a = _grad(loglik, target, alpha, *post)
         if variant == "wanbia":
             grad_W, grad_a = np.zeros_like(grad_W), 0.0
         elif variant == "cawnb":
@@ -369,20 +368,17 @@ def _train(
             break
 
         step = opts.init_step
-        accepted = None
         while step >= opts.min_step:
-            W_new = W - step * grad_W
-            w_new = w - step * grad_w
-            a_new = a - step * grad_a
-            alpha_new = _alpha(variant, a_new)
-            value_new = evaluate(W_new, w_new, alpha_new)
+            W_new, w_new, a_new = W - step * grad_W, w - step * grad_w, a - step * grad_a
+            alpha_new = sigmoid(a_new)
+            post_new = _posteriors(model, W_new, w_new, alpha_new, loglik)
+            value_new = _loss(post_new[0], target)
             if math.isfinite(value_new) and value_new <= value - opts.armijo_c * step * grad_sq:
-                accepted = (W_new, w_new, a_new, alpha_new, value_new)
                 break
             step /= 2.0
-        if accepted is None:
-            break
-        W, w, a, alpha, value_new = accepted
+        else:
+            break  # no step down to min_step passed the Armijo test
+        W, w, a, alpha, post = W_new, w_new, a_new, alpha_new, post_new
         improvement = value - value_new
         value = value_new
         trace.append(value)

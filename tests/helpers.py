@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from nbdisc.data import AttributeKind, Dataset
+from nbdisc.weighted_nb import WeightedParams, fit_nb, gradient, objective
 
 
 def make_dataset(columns, labels, kinds=None, missing=None):
@@ -108,3 +109,53 @@ def brute_force_knn(ref, ref_labels, query, k):
     for i in order[:k]:
         votes[classes.index(ref_labels[i])] += 1
     return classes[votes.index(max(votes))]
+
+
+def reference_train(table, labels, variant, opts):
+    """Exponent training written only from the public objective and gradient.
+
+    Gradient descent with Armijo backtracking from all-one exponents: every
+    trial is a fresh ``WeightedParams`` scored by ``objective``, and every
+    step's gradient comes from ``gradient`` at the accepted point.  Returns
+    the final parameters and the objective after the start and each step.
+    """
+    model = fit_nb(table, labels)
+
+    def blend(a):
+        if variant == "rnb":
+            return 1.0 / (1.0 + math.exp(-a))
+        return 1.0 if variant == "cawnb" else 0.0
+
+    a = 0.0
+    ones = np.ones((model.n_classes, model.n_attrs))
+    params = WeightedParams(ones, np.ones(model.n_attrs), blend(a))
+    value = objective(model, params, table.x, labels)
+    trace = [value]
+    for _ in range(opts.max_iter):
+        grad_W, grad_w, grad_a = gradient(model, params, table.x, labels)
+        if variant == "wanbia":
+            grad_W, grad_a = np.zeros_like(grad_W), 0.0
+        elif variant == "cawnb":
+            grad_w, grad_a = np.zeros_like(grad_w), 0.0
+        grad_sq = float((grad_W**2).sum() + (grad_w**2).sum() + grad_a**2)
+        if grad_sq == 0.0 or not math.isfinite(grad_sq):
+            break
+        step = opts.init_step
+        accepted = None
+        while step >= opts.min_step:
+            a_new = a - step * grad_a
+            trial = WeightedParams(params.W - step * grad_W, params.w - step * grad_w, blend(a_new))
+            trial_value = objective(model, trial, table.x, labels)
+            if math.isfinite(trial_value) and trial_value <= value - opts.armijo_c * step * grad_sq:
+                accepted = (trial, a_new, trial_value)
+                break
+            step /= 2.0
+        if accepted is None:
+            break
+        params, a, trial_value = accepted
+        improvement = value - trial_value
+        value = trial_value
+        trace.append(value)
+        if improvement < opts.tol:
+            break
+    return params, trace

@@ -3,10 +3,15 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nbdisc
 from nbdisc.cli import main
 from nbdisc.discretize import load_scheme
 from nbdisc.evaluate import PipelineConfig, fit_pipeline
@@ -94,6 +99,13 @@ class TestCurveCommand:
         assert main(["curve", "--n-min", "1"]) == 2
         assert main(["curve", "--n-min", "10", "--n-max", "5"]) == 2
 
+    @pytest.mark.parametrize("n0", ["0", "-1000"])
+    def test_n0_below_one_rejected(self, n0, capsys):
+        assert main(["curve", "--n0", "100", n0, "--n-max", "10"]) == 2
+        captured = capsys.readouterr()
+        assert "n0 must be at least 1" in captured.err
+        assert captured.out == ""
+
 
 class TestTrainPredict:
     def test_round_trip_accuracy(self, separable_csv, tmp_path):
@@ -165,6 +177,13 @@ class TestTrainPredict:
         code = main(["train", str(separable_csv), "--seed", "-1", "--output", str(model_path)])
         assert code == 2
         assert "seed must be non-negative" in capsys.readouterr().err
+        assert not model_path.exists()
+
+    def test_negative_max_iter_rejected(self, separable_csv, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        code = main(["train", str(separable_csv), "--max-iter", "-1", "--output", str(model_path)])
+        assert code == 2
+        assert "error [fit] max_iter must be at least 0" in capsys.readouterr().err
         assert not model_path.exists()
 
 
@@ -309,3 +328,14 @@ class TestBenchCommand:
         serial = (tmp_path / "out" / "results.json").read_bytes()
         assert main(["bench", str(manifest), "--jobs", "2"]) == 0
         assert (tmp_path / "out" / "results.json").read_bytes() == serial
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of the import time; only scipy.special is needed
+    code = "import sys, nbdisc.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(nbdisc.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

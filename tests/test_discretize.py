@@ -389,3 +389,11 @@ class TestThresholdCurve:
 def test_sigmoid_range():
     for x in np.linspace(0.001, 20, 200):
         assert 0.5 < sigmoid(x) < 1.0
+
+
+def test_sigmoid_saturates_where_exp_overflows():
+    for x in (-1.0, -30.0, -700.0):
+        assert sigmoid(x) == 1.0 / (1.0 + math.exp(-x))
+    assert sigmoid(-1000.0) == 0.0
+    assert sigmoid(-1e308) == 0.0
+    assert sigmoid(1e308) == 1.0

@@ -71,6 +71,14 @@ class TestPairedTTest:
         expected = 0.5 * betainc(df / 2, 0.5, df / (df + result.t**2))
         assert result.p == pytest.approx(float(expected), abs=1e-10)
 
+    def test_p_value_equals_scipy_stats(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            n = int(rng.integers(2, 30))
+            a, b = rng.normal(size=n), rng.normal(size=n)
+            result = paired_t_test_one_tailed(a, b)
+            assert result.p == float(scipy_stats.t.sf(result.t, n - 1))
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             paired_t_test_one_tailed([1.0, 2.0], [1.0])

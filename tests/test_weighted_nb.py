@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_force_nb_posterior, make_dataset
+from helpers import brute_force_nb_posterior, make_dataset, reference_train
 
 from nbdisc.data import impute_missing
 from nbdisc.discretize import apply_scheme, build_scheme
@@ -282,6 +282,53 @@ class TestTrainers:
         result = trainer(table, labels)
         steps = np.diff(result.objectives)
         assert (steps <= 0).all()
+
+    @pytest.mark.parametrize("trainer", [train_rnb, train_wanbia, train_cawnb])
+    def test_huge_first_step_finishes(self, trainer, iris_table):
+        # a trial with a = -1e308 once overflowed math.exp in the rnb blend
+        table, labels = iris_table
+        result = trainer(table, labels, TrainOptions(init_step=1e308, max_iter=5))
+        assert (np.diff(result.objectives) <= 0).all()
+        assert 0.0 <= result.params.alpha <= 1.0
+
+    @pytest.mark.parametrize("variant", ["rnb", "wanbia", "cawnb"])
+    @pytest.mark.parametrize("data", ["iris", "toy_mixed"])
+    def test_matches_reference_loop(self, variant, data, request):
+        raw = request.getfixturevalue(data)
+        imputed = impute_missing(raw, raw)
+        scheme = build_scheme(imputed, None, "sadd")
+        table = encode_discrete(apply_scheme(scheme, imputed), scheme, categorical_vocab([imputed]))
+        opts = TrainOptions(max_iter=50)
+        trainer = {"rnb": train_rnb, "wanbia": train_wanbia, "cawnb": train_cawnb}[variant]
+        result = trainer(table, imputed.labels, opts)
+        params, objectives = reference_train(table, imputed.labels, variant, opts)
+        assert np.array_equal(result.params.W, params.W)
+        assert np.array_equal(result.params.w, params.w)
+        assert result.params.alpha == params.alpha
+        assert result.objectives == objectives
+        assert len(objectives) > 2
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("init_step", math.inf),
+            ("init_step", math.nan),
+            ("init_step", 0.0),
+            ("min_step", -1e-12),
+            ("min_step", math.inf),
+            ("max_iter", -1),
+        ],
+    )
+    def test_bad_options_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrainOptions(**{name: value})
+
+    def test_label_outside_model_rejected(self, four_row):
+        table, _, model = four_row
+        with pytest.raises(ValueError, match="'C'"):
+            objective(model, identity_params(model), table.x, ["A", "A", "C", "A"])
+        with pytest.raises(ValueError, match="'C'"):
+            gradient(model, identity_params(model), table.x, ["A", "A", "C", "A"])
 
     def test_zero_iterations_equal_plain_nb(self, iris_table):
         table, labels = iris_table
