@@ -40,6 +40,7 @@ from .evaluate import (
     PipelineConfig,
     PipelineError,
     config_from_dict,
+    config_hash,
     cross_validate,
     emit_report,
     fit_pipeline,
@@ -149,7 +150,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for index, report, error in outcomes:
         if error is not None:
             _, _, name, config, _ = tasks[index]
-            failures.append(f"{name} / {config.label()}: {error}")
+            failures.append(f"{name} / {config.label()} (config {config_hash(config)}): {error}")
         else:
             reports[index] = report
 

@@ -79,6 +79,7 @@ class PipelineError(RuntimeError):
     def __init__(self, stage: str, message: str) -> None:
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+        self.message = message
 
 
 @dataclass(frozen=True)
@@ -362,20 +363,23 @@ def cross_validate(
     dataset_name: str = "",
     with_diagnostics: bool = True,
 ) -> EvalReport:
-    """Stratified k-fold evaluation of one configuration."""
+    """Stratified k-fold evaluation; a fold's PipelineError gains a ``fold N:`` prefix."""
     if folds < 2:
         raise ValueError("need at least 2 folds")
     plan = stratified_folds(data, folds, config.seed)
     accuracies = []
     ks = []
     for fold in range(folds):
-        result = run_fold(
-            data,
-            plan.train_rows(fold),
-            plan.test_rows(fold),
-            config,
-            seed=_child_seed(config.seed, 7, fold),
-        )
+        try:
+            result = run_fold(
+                data,
+                plan.train_rows(fold),
+                plan.test_rows(fold),
+                config,
+                seed=_child_seed(config.seed, 7, fold),
+            )
+        except PipelineError as exc:
+            raise PipelineError(exc.stage, f"fold {fold}: {exc.message}") from exc
         accuracies.append(result.accuracy)
         ks.append(result.selected_k)
 

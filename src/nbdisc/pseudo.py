@@ -1,10 +1,14 @@
 """k-nearest-neighbor pseudo-labeling of unlabeled rows.
 
 Distances are Euclidean over z-scored numeric features (statistics from the
-labeled data) plus a 0/1 mismatch term per categorical feature.  Tie rules
-are fixed for reproducibility: distance ties prefer the lower labeled row
-index, vote ties prefer the smallest class index (classes sorted by token).
-The neighbor count k is tuned on a held-out ninth of the labeled data.
+labeled data) plus a 0/1 mismatch term per categorical feature.  They are
+computed one way at every problem size, as an exact feature-by-feature sum,
+so a row's neighbors depend only on that row and the labeled rows, never on
+the pool size or the block it is ranked in.  Tie rules are fixed for
+reproducibility: distance ties prefer the lower labeled row index, vote ties
+prefer the smallest class index (classes sorted by token), and accuracy ties
+in the k search prefer the smallest k.  The neighbor count k is tuned on a
+held-out ninth of the labeled data.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import numpy as np
 from .data import AttributeKind, Dataset, stratified_folds
 
 DEFAULT_K_GRID: tuple[int, ...] = tuple(range(1, 32, 2))
+_BLOCK_ENTRIES = 1 << 16  # distances per ranking block: a cache-sized (n_queries, n_ref) slab
 
 
 @dataclass(frozen=True)
@@ -93,29 +98,26 @@ class FeatureSpace:
 def _distance_sq(space: FeatureSpace, ref: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """(n_queries, n_ref) squared distances under the mixed metric.
 
-    Small problems accumulate feature by feature so exact ties (duplicate
-    rows, symmetric layouts) stay exact and the index tie rule is
-    meaningful; large ones use the BLAS expansion, where mathematically
-    tied distances may differ by rounding but stay deterministic.
+    Accumulated feature by feature in column order, so a distance depends
+    only on the two rows: exact ties (duplicate rows, symmetric layouts)
+    stay exact at every problem size and the index tie rule is meaningful.
     """
-    m = space.n_numeric
-    if ref.shape[0] * queries.shape[0] <= (1 << 22):
-        dist = np.zeros((queries.shape[0], ref.shape[0]))
-        for c in range(m):
-            dist += (queries[:, c][:, None] - ref[:, c][None, :]) ** 2
-    else:
-        qn, rn = queries[:, :m], ref[:, :m]
-        dist = (qn * qn).sum(axis=1)[:, None] + (rn * rn).sum(axis=1)[None, :]
-        dist -= 2.0 * (qn @ rn.T)
-        np.maximum(dist, 0.0, out=dist)
-    for c in range(m, ref.shape[1]):
-        dist += queries[:, c][:, None] != ref[:, c][None, :]
+    cols = np.ascontiguousarray(ref.T)  # one contiguous row of reference values per feature
+    # np.full, not np.zeros: lazily mapped zero pages slow down the first +=
+    dist = np.full((queries.shape[0], ref.shape[0]), 0.0)
+    diff = np.empty_like(dist)
+    for c in range(space.n_numeric):
+        np.subtract(queries[:, c, None], cols[c], out=diff)
+        dist += np.square(diff, out=diff)
+    for c in range(space.n_numeric, ref.shape[1]):
+        dist += queries[:, c, None] != cols[c]
     return dist
 
 
-def _vote(neighbor_codes: np.ndarray, n_classes: int) -> int:
-    counts = np.bincount(neighbor_codes, minlength=n_classes)
-    return int(np.argmax(counts))  # first max = smallest class index
+def _votes(neighbor_codes: np.ndarray, n_classes: int) -> np.ndarray:
+    """(n, K) majority class of the first k neighbors in column k-1; ties pick the smaller."""
+    counts = (neighbor_codes[:, :, None] == np.arange(n_classes)).astype(np.int32)
+    return np.cumsum(counts, axis=1, out=counts).argmax(axis=2)
 
 
 def _nearest_neighbors(
@@ -123,23 +125,25 @@ def _nearest_neighbors(
 ) -> np.ndarray:
     """(n_queries, max_k) labeled-row indices in nearest-first order.
 
-    Distance ties keep the lower labeled row index.  Selecting every row at
-    or below the max_k-th smallest distance and stable-sorting that subset
-    yields the same prefix as a full stable sort, without the O(n log n)
-    per-query cost.
+    The first max_k columns of a stable argsort of each distance row, so
+    distance ties keep the lower row index.  ``argpartition`` picks max_k
+    candidates, ordered by (distance, index); a row with more than max_k
+    distances at or below its max_k-th may have lost a tied lower index, so
+    it is re-ranked by a stable argsort.
     """
     out = np.empty((len(queries), max_k), dtype=int)
-    block = max(1, (1 << 24) // max(len(ref), 1))  # bound the distance matrix size
+    block = max(1, _BLOCK_ENTRIES // max(len(ref), 1))
     for start in range(0, len(queries), block):
         dist = _distance_sq(space, ref, queries[start : start + block])
-        if max_k >= dist.shape[1]:
-            out[start : start + block] = np.argsort(dist, axis=1, kind="stable")[:, :max_k]
-            continue
-        kth = np.partition(dist, max_k - 1, axis=1)[:, max_k - 1]
-        for i in range(dist.shape[0]):
-            candidates = np.flatnonzero(dist[i] <= kth[i])
-            ranked = candidates[np.argsort(dist[i][candidates], kind="stable")]
-            out[start + i] = ranked[:max_k]
+        cand = np.argpartition(dist, max_k - 1, axis=1)[:, :max_k]
+        cand_dist = np.take_along_axis(dist, cand, axis=1)
+        order = np.lexsort((cand, cand_dist))
+        ranked = np.take_along_axis(cand, order, axis=1)
+        kth = cand_dist.max(axis=1)[:, None]
+        tied = np.flatnonzero(np.count_nonzero(dist <= kth, axis=1) > max_k)
+        if tied.size:
+            ranked[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, :max_k]
+        out[start : start + block] = ranked
     return out
 
 
@@ -150,10 +154,7 @@ def _predict_codes(
         raise ValueError(f"k={k} exceeds {len(ref)} labeled rows")
     n_classes = int(ref_codes.max()) + 1
     nearest = _nearest_neighbors(space, ref, queries, k)
-    out = np.empty(len(queries), dtype=int)
-    for i, row in enumerate(nearest):
-        out[i] = _vote(ref_codes[row], n_classes)
-    return out
+    return _votes(ref_codes[nearest], n_classes)[:, k - 1]
 
 
 def knn_predict(
@@ -214,26 +215,15 @@ def select_k(
     ref = space.encode(fit)
     queries = space.encode(val)
     classes, codes = np.unique(fit.labels, return_inverse=True)
-    classes = classes.tolist()
 
     feasible = [k for k in sorted(set(int(k) for k in grid)) if 1 <= k <= fit.n_rows]
     if not feasible:
         raise ValueError("every grid value exceeds the fit-set size")
     # neighbor order is independent of k: rank once, vote per prefix
     nearest = _nearest_neighbors(space, ref, queries, max(feasible))
-    truth = np.array([classes.index(t) if t in classes else -1 for t in val.labels])
-
-    best_k = None
-    best_acc = -1.0
-    for k in feasible:
-        pred = np.array(
-            [_vote(codes[row[:k]], len(classes)) for row in nearest], dtype=int
-        )
-        acc = float(np.mean(pred == truth))
-        if acc > best_acc:
-            best_acc = acc
-            best_k = k
-    return best_k
+    votes = _votes(codes[nearest], len(classes))[:, np.array(feasible) - 1]
+    hits = (classes[votes] == val.labels[:, None]).sum(axis=0)
+    return feasible[int(np.argmax(hits))]  # first max = smallest k
 
 
 def pseudo_label(labeled: Dataset, unlabeled: Dataset, config: KnnConfig) -> np.ndarray:

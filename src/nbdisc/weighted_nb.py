@@ -216,8 +216,8 @@ def weighted_log_posterior(
     if (x < 0).any():
         raise ValueError("value index out of arity range")
     exponents = np.broadcast_to(np.asarray(exponents, dtype=float), (model.n_classes, model.n_attrs))
-    loglik = _log_likelihoods(model, x[None, :])[0]
-    return np.log(model.priors) + (exponents * loglik).sum(axis=1)
+    loglik = _log_likelihoods(model, x[None, :])
+    return np.log(model.priors) + np.einsum("icj,cj->ic", loglik, exponents)[0]
 
 
 def posterior_blend(

@@ -3,10 +3,16 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from nbdisc.data import load_csv
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# Property tests draw the same examples on every run and have no per-example
+# time limit, so a slow shared machine cannot turn them flaky.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -100,13 +100,26 @@ def brute_force_nb_posterior(x_train, y_train, arity, query):
     return classes, [p / total for p in joint]
 
 
+def brute_force_neighbors(ref, query, k, n_numeric=None):
+    """The k nearest reference row indices, ordered by (distance, row index).
+
+    The first ``n_numeric`` columns (all when None) add their squared
+    difference; each later column adds 1 where the codes differ.
+    """
+    m = len(query) if n_numeric is None else n_numeric
+    dist = [
+        sum((a - b) ** 2 for a, b in zip(row[:m], query[:m]))
+        + sum(a != b for a, b in zip(row[m:], query[m:]))
+        for row in ref
+    ]
+    return sorted(range(len(ref)), key=lambda i: (dist[i], i))[:k]
+
+
 def brute_force_knn(ref, ref_labels, query, k):
     """Nearest-neighbor majority vote with the documented tie rules."""
-    dist = [sum((a - b) ** 2 for a, b in zip(row, query)) for row in ref]
-    order = sorted(range(len(ref)), key=lambda i: (dist[i], i))
     classes = sorted(set(ref_labels))
     votes = [0] * len(classes)
-    for i in order[:k]:
+    for i in brute_force_neighbors(ref, query, k):
         votes[classes.index(ref_labels[i])] += 1
     return classes[votes.index(max(votes))]
 

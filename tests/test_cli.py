@@ -14,7 +14,7 @@ import pytest
 import nbdisc
 from nbdisc.cli import main
 from nbdisc.discretize import load_scheme
-from nbdisc.evaluate import PipelineConfig, fit_pipeline
+from nbdisc.evaluate import PipelineConfig, config_from_dict, config_hash, fit_pipeline
 
 
 @pytest.fixture()
@@ -314,6 +314,16 @@ class TestBenchCommand:
         assert "failed: ghost" in captured.err
         results = json.loads((tmp_path / "out" / "results.json").read_text())
         assert len(results["runs"]) == 1
+
+    def test_failed_run_names_config_hash_stage_and_fold(self, iris_path, tmp_path, capsys):
+        config = {"method": "sadd", "classifier": "nb", "labeled_fraction": 0.05}
+        manifest = write_manifest(tmp_path, iris_path, [config])
+        assert main(["bench", str(manifest)]) == 1
+        digest = config_hash(config_from_dict({**config, "seed": 0}))
+        assert (
+            f"failed: iris / sadd+nb@0.05 (config {digest}): [pseudo-label] fold 0: "
+            "need at least 9 labeled rows" in capsys.readouterr().err
+        )
 
     def test_parallel_jobs_match_serial(self, iris_path, tmp_path):
         manifest = write_manifest(

@@ -265,6 +265,14 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match="folds"):
             cross_validate(iris, PipelineConfig(), folds=1)
 
+    def test_failure_names_its_fold(self, iris):
+        # about 7 labeled training rows: select_k cannot hold out a ninth
+        config = PipelineConfig(method="sadd", labeled_fraction=0.05)
+        message = r"^\[pseudo-label\] fold 0: need at least 9"
+        with pytest.raises(PipelineError, match=message) as info:
+            cross_validate(iris, config)
+        assert info.value.stage == "pseudo-label"
+
 
 class TestPipelineFuzz:
     def test_random_configs_fail_only_with_stage_tags(self):

@@ -4,18 +4,58 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import brute_force_knn, make_dataset
+from helpers import brute_force_knn, brute_force_neighbors, make_dataset
 
-from nbdisc.data import stratified_folds
+from nbdisc import pseudo
+from nbdisc.data import AttributeKind, stratified_folds
 from nbdisc.pseudo import (
     FeatureSpace,
     KnnConfig,
+    _all_numeric_space,
+    _distance_sq,
+    _nearest_neighbors,
     _predict_codes,
+    _votes,
     knn_predict,
     pseudo_label,
     select_k,
 )
+
+BLOCK_ENTRIES = (1, 7, 64, 1 << 16)
+
+
+def mixed_space(n_numeric: int, n_categorical: int) -> FeatureSpace:
+    """Identity encoding: numeric columns first, then categorical codes."""
+    width = n_numeric + n_categorical
+    return FeatureSpace(
+        names=tuple(f"f{i}" for i in range(width)),
+        kinds=(AttributeKind.NUMERIC,) * n_numeric + (AttributeKind.CATEGORICAL,) * n_categorical,
+        numeric_idx=tuple(range(n_numeric)),
+        categorical_idx=tuple(range(n_numeric, width)),
+        means=np.zeros(n_numeric),
+        scales=np.ones(n_numeric),
+        vocab=((),) * n_categorical,
+    )
+
+
+@st.composite
+def grid_problems(draw):
+    """Rows on a 3-value grid with repeated reference rows and queries that copy them."""
+    n_numeric = draw(st.integers(0, 2))
+    n_categorical = draw(st.integers(1 if n_numeric == 0 else 0, 2))
+    width = n_numeric + n_categorical
+    row = st.lists(st.integers(0, 2), min_size=width, max_size=width)
+    ref = draw(st.lists(row, min_size=1, max_size=20))
+    ref += [ref[i] for i in draw(st.lists(st.integers(0, len(ref) - 1), max_size=8))]
+    queries = draw(st.lists(row, max_size=8))
+    queries += [ref[i] for i in draw(st.lists(st.integers(0, len(ref) - 1), max_size=4))]
+    if not queries:
+        queries = [ref[0]]
+    k = draw(st.integers(1, len(ref)))
+    return n_numeric, n_categorical, np.array(ref, float), np.array(queries, float), k
 
 
 class TestKnnPredict:
@@ -71,8 +111,6 @@ class TestNearestNeighbors:
     def test_partition_path_matches_stable_sort_prefix(self):
         # the top-k selection must reproduce the stable-argsort prefix even
         # under heavy distance ties (integer-grid points)
-        from nbdisc.pseudo import _all_numeric_space, _distance_sq, _nearest_neighbors
-
         rng = np.random.default_rng(0)
         space = _all_numeric_space(2)
         for _ in range(30):
@@ -85,17 +123,50 @@ class TestNearestNeighbors:
             assert np.array_equal(got, want)
 
     def test_large_point_count_agrees_with_small_path(self):
-        # the BLAS distance expansion kicks in past the size threshold; on
-        # well-separated continuous data both paths rank identically
-        from nbdisc.pseudo import _all_numeric_space, _nearest_neighbors
-
+        # a large pool is ranked over many blocks; its first rows must rank
+        # exactly as they do in a pool of their own
         rng = np.random.default_rng(1)
         space = _all_numeric_space(3)
         ref = rng.normal(size=(3000, 3))
-        queries = rng.normal(size=(2000, 3))  # 6M pairs: above the exact-path cutoff
+        queries = rng.normal(size=(2000, 3))  # 6M pairs: many ranking blocks
         got = _nearest_neighbors(space, ref, queries[:5], 4)
         big = _nearest_neighbors(space, ref, queries, 4)
         assert np.array_equal(big[:5], got)
+
+    def test_tied_far_from_origin_ranked_by_exact_distance_then_index(self):
+        # integer grid offset by 1e8: a dot-product distance expansion loses
+        # the exact ties (4.5M pairs), so the order must come from exact
+        # per-feature differences at every pool size
+        rng = np.random.default_rng(0)
+        space = _all_numeric_space(2)
+        ref = 1e8 + rng.integers(0, 4, (3000, 2))
+        queries = 1e8 + rng.integers(0, 4, (1500, 2))
+        got = _nearest_neighbors(space, ref, queries, 5)
+        exact = sum((queries[:, c, None] - ref[None, :, c]) ** 2 for c in range(2))
+        assert np.array_equal(got, np.argsort(exact, axis=1, kind="stable")[:, :5])
+        assert np.array_equal(_nearest_neighbors(space, ref, queries[:10], 5), got[:10])
+
+    @given(grid_problems())
+    def test_matches_brute_force_order_at_every_block_size(self, problem):
+        n_numeric, n_categorical, ref, queries, k = problem
+        space = mixed_space(n_numeric, n_categorical)
+        want = [brute_force_neighbors(ref.tolist(), q, k, n_numeric) for q in queries.tolist()]
+        for entries in BLOCK_ENTRIES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pseudo, "_BLOCK_ENTRIES", entries)
+                assert _nearest_neighbors(space, ref, queries, k).tolist() == want
+
+    @given(grid_problems(), st.integers(2, 4))
+    def test_prefix_votes_match_brute_force_knn(self, problem, n_classes):
+        n_numeric, n_categorical, ref, queries, k = problem
+        space = mixed_space(n_numeric + n_categorical, 0)  # brute_force_knn is all-numeric
+        labels = [f"c{i % n_classes}" for i in range(len(ref))]
+        classes, codes = np.unique(labels, return_inverse=True)
+        votes = _votes(codes[_nearest_neighbors(space, ref, queries, k)], len(classes))
+        assert votes.shape == (len(queries), k)
+        for j in range(k):
+            want = [brute_force_knn(ref.tolist(), labels, q, j + 1) for q in queries.tolist()]
+            assert classes[votes[:, j]].tolist() == want
 
 
 class TestFeatureSpace:
@@ -237,6 +308,28 @@ class TestPseudoLabel:
             brute_force_knn(ref, labeled.labels.tolist(), q, 1) for q in queries
         ]
         assert out.tolist() == oracle
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 3), st.sampled_from("rgb")), min_size=9, max_size=30),
+        st.lists(st.tuples(st.integers(0, 3), st.sampled_from("rgb")), min_size=1, max_size=40),
+        st.data(),
+    )
+    def test_subset_of_pool_gets_the_pool_labels(self, labeled_rows, pool_rows, data):
+        labeled = make_dataset(
+            {"x": [float(x) for x, _ in labeled_rows], "c": [c for _, c in labeled_rows]},
+            [f"y{i % 3}" for i in range(len(labeled_rows))],
+        )
+        pool = make_dataset(
+            {"x": [float(x) for x, _ in pool_rows], "c": [c for _, c in pool_rows]},
+            ["?"] * len(pool_rows),
+        )
+        k = data.draw(st.integers(1, len(labeled_rows)))
+        rows = data.draw(st.lists(st.integers(0, len(pool_rows) - 1), max_size=len(pool_rows)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pseudo, "_BLOCK_ENTRIES", data.draw(st.sampled_from(BLOCK_ENTRIES)))
+            whole = pseudo_label(labeled, pool, KnnConfig(k))
+            part = pseudo_label(labeled, pool.subset(rows), KnnConfig(k))
+        assert part.tolist() == whole[rows].tolist()
 
     def test_permutation_equivariance(self, iris):
         rng = np.random.default_rng(23)

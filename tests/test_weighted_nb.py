@@ -130,6 +130,16 @@ class TestPosteriorBlend:
         scores = weighted_log_posterior(model, np.broadcast_to(wild.w, (2, 1)), [0])
         assert only_shared == pytest.approx(np.exp(scores) / np.exp(scores).sum())
 
+    def test_class_scores_are_the_blend_scores_bit_for_bit(self, iris_table):
+        # the per-instance scores are the ones the trainer and posterior_batch use
+        table, labels = iris_table
+        model = fit_nb(table, labels)
+        result = train_rnb(table, labels, TrainOptions(max_iter=50), model=model)
+        only_class = WeightedParams(result.params.W, result.params.w, 1.0)
+        for row in table.x:
+            scores = weighted_log_posterior(model, result.params.W, row)[None, :]
+            assert np.array_equal(_softmax(scores)[0], posterior_blend(model, only_class, row))
+
     def test_all_ones_reduces_to_nb(self, four_row):
         table, labels, model = four_row
         classes, oracle = brute_force_nb_posterior(
