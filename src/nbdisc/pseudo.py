@@ -95,22 +95,24 @@ class FeatureSpace:
         return len(self.numeric_idx)
 
 
-def _distance_sq(space: FeatureSpace, ref: np.ndarray, queries: np.ndarray) -> np.ndarray:
+def _distance_sq(
+    space: FeatureSpace, ref: np.ndarray, queries: np.ndarray, work: np.ndarray | None = None
+) -> np.ndarray:
     """(n_queries, n_ref) squared distances under the mixed metric.
 
     Accumulated feature by feature in column order, so a distance depends
     only on the two rows: exact ties (duplicate rows, symmetric layouts)
     stay exact at every problem size and the index tie rule is meaningful.
+    A ``work`` buffer of shape (2, >= n_queries, n_ref) replaces fresh arrays.
     """
-    cols = np.ascontiguousarray(ref.T)  # one contiguous row of reference values per feature
-    # np.full, not np.zeros: lazily mapped zero pages slow down the first +=
-    dist = np.full((queries.shape[0], ref.shape[0]), 0.0)
-    diff = np.empty_like(dist)
+    cols = np.ascontiguousarray(ref.T)  # one row of reference values per feature
+    dist, diff = np.empty((2, len(queries), len(ref))) if work is None else work[:, : len(queries)]
+    dist.fill(0.0)
     for c in range(space.n_numeric):
         np.subtract(queries[:, c, None], cols[c], out=diff)
         dist += np.square(diff, out=diff)
     for c in range(space.n_numeric, ref.shape[1]):
-        dist += queries[:, c, None] != cols[c]
+        dist += np.not_equal(queries[:, c, None], cols[c], out=diff)
     return dist
 
 
@@ -133,8 +135,10 @@ def _nearest_neighbors(
     """
     out = np.empty((len(queries), max_k), dtype=int)
     block = max(1, _BLOCK_ENTRIES // max(len(ref), 1))
+    ref = np.asfortranarray(ref)  # so that every block's ref.T is a view, not a copy
+    work = np.empty((2, min(block, len(queries)), len(ref)))  # one buffer for all blocks
     for start in range(0, len(queries), block):
-        dist = _distance_sq(space, ref, queries[start : start + block])
+        dist = _distance_sq(space, ref, queries[start : start + block], work)
         cand = np.argpartition(dist, max_k - 1, axis=1)[:, :max_k]
         cand_dist = np.take_along_axis(dist, cand, axis=1)
         order = np.lexsort((cand, cand_dist))

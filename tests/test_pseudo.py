@@ -122,6 +122,24 @@ class TestNearestNeighbors:
             want = np.argsort(dist, axis=1, kind="stable")[:, :k]
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("n_numeric,n_categorical", [(3, 2), (0, 2), (2, 0), (0, 0)])
+    def test_reused_work_buffer_gives_fresh_distances(self, n_numeric, n_categorical):
+        # the buffer keeps the previous block's values; none may leak into the next
+        rng = np.random.default_rng(3)
+        space = mixed_space(n_numeric, n_categorical)
+        width = n_numeric + n_categorical
+        ref = rng.integers(0, 3, (50, width)).astype(float)
+        work = np.full((2, 9, 50), np.nan)
+        for rows in (9, 4, 9, 1):
+            queries = rng.integers(0, 3, (rows, width)).astype(float)
+            got = _distance_sq(space, np.asfortranarray(ref), queries, work)
+            want = np.zeros((rows, 50))
+            for c in range(width):
+                delta = queries[:, c, None] - ref[None, :, c]
+                want += delta**2 if c < n_numeric else delta != 0
+            assert np.array_equal(_distance_sq(space, ref, queries), want)
+            assert np.array_equal(got, want)
+
     def test_large_point_count_agrees_with_small_path(self):
         # a large pool is ranked over many blocks; its first rows must rank
         # exactly as they do in a pool of their own
