@@ -37,6 +37,19 @@ def _parse_finite(cell: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def class_codes(labels: Sequence[str] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct labels (object array) and each row's index into them.
+
+    Equal to ``np.unique(np.asarray(labels, dtype=object), return_inverse=True)``
+    but hashes each row instead of sorting all rows with Python comparisons.
+    """
+    tokens = np.asarray(labels, dtype=object).tolist()
+    classes = sorted(set(tokens))
+    index = {cls: i for i, cls in enumerate(classes)}
+    codes = np.fromiter(map(index.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+    return np.array(classes, dtype=object), codes
+
+
 @dataclass
 class Dataset:
     """Columnar table: attribute columns plus one class label per row.
@@ -155,36 +168,26 @@ def load_csv(
     missing = np.zeros((len(records), len(names)), dtype=bool)
     for j, name in enumerate(names):
         cells = [record[j] for record in records]
-        miss = np.array([cell == missing_token for cell in cells], dtype=bool)
-        present = [cell for cell, m in zip(cells, miss) if not m]
-        hinted = schema_hint.get(name) if schema_hint else None
-        if hinted is AttributeKind.NUMERIC:
-            kind = AttributeKind.NUMERIC
-        elif hinted is AttributeKind.CATEGORICAL:
-            kind = AttributeKind.CATEGORICAL
-        else:
-            kind = (
-                AttributeKind.NUMERIC
-                if present and all(_parse_finite(cell) is not None for cell in present)
-                else AttributeKind.CATEGORICAL
-            )
-        if kind is AttributeKind.NUMERIC:
-            values = np.full(len(cells), np.nan)
-            for i, (cell, m) in enumerate(zip(cells, miss)):
-                if m:
-                    continue
-                parsed = _parse_finite(cell)
-                if parsed is None:
+        miss = [cell == missing_token for cell in cells]
+        kind = schema_hint.get(name) if schema_hint else None
+        # each present cell is parsed once; inference stops at the first failure
+        values = np.full(len(cells), np.nan)
+        parsed = kind is not AttributeKind.CATEGORICAL and not all(miss)
+        for i, cell in enumerate(cells) if parsed else ():
+            if miss[i]:
+                continue
+            value = _parse_finite(cell)
+            if value is None:
+                if kind is AttributeKind.NUMERIC:
                     raise ValueError(
                         f"{path}: column {name!r}, row {i + 2}: unparseable numeric cell {cell!r}"
                     )
-                values[i] = parsed
-            columns.append(values)
-        else:
-            tokens = np.array(
-                [missing_token if m else cell for cell, m in zip(cells, miss)], dtype=object
-            )
-            columns.append(tokens)
+                parsed = False
+                break
+            values[i] = value
+        if not isinstance(kind, AttributeKind):
+            kind = AttributeKind.NUMERIC if parsed else AttributeKind.CATEGORICAL
+        columns.append(values if kind is AttributeKind.NUMERIC else np.array(cells, dtype=object))
         kinds.append(kind)
         missing[:, j] = miss
 
@@ -291,9 +294,9 @@ def stratified_folds(data: Dataset, folds: int, seed: int) -> FoldPlan:
         raise ValueError(f"{folds} folds exceed {data.n_rows} rows")
     rng = np.random.default_rng(seed)
     assignments = np.full(data.n_rows, -1, dtype=int)
-    for cls in data.classes:
-        rows = np.flatnonzero(data.labels == cls)
-        rows = rng.permutation(rows)
+    classes, codes = class_codes(data.labels)
+    for c in range(len(classes)):
+        rows = rng.permutation(np.flatnonzero(codes == c))
         assignments[rows] = np.arange(len(rows)) % folds
     return FoldPlan(assignments=assignments, folds=folds, seed=seed)
 
@@ -327,8 +330,8 @@ def split_labeled_fraction(
     n = len(rows)
     total = int(math.floor(fraction * n + 0.5))
 
-    classes = sorted(set(labels.tolist()))
-    class_rows = {cls: rows[np.flatnonzero(labels == cls)] for cls in classes}
+    classes, codes = class_codes(labels)
+    class_rows = {cls: rows[codes == c] for c, cls in enumerate(classes)}
     raw = {cls: total * len(class_rows[cls]) / n for cls in classes}
     quota = {cls: int(math.floor(raw[cls])) for cls in classes}
     leftover = total - sum(quota.values())

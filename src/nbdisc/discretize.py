@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import AttributeKind, Dataset
+from .data import AttributeKind, Dataset, class_codes
 
 METHODS = ("mdlp", "sadd", "eqw", "eqf")
 DEFAULT_N0 = 2000
@@ -54,11 +54,10 @@ class ClassCounts:
 
     @classmethod
     def from_labels(cls, labels: Sequence[str], classes: Sequence[str] | None = None) -> "ClassCounts":
-        arr = np.asarray(labels, dtype=object)
-        if classes is None:
-            classes = sorted(set(arr.tolist()))
-        counts = np.array([(arr == c).sum() for c in classes], dtype=np.int64)
-        return cls(counts)
+        found, codes = class_codes(labels)
+        counts = np.bincount(codes, minlength=len(found)).tolist()
+        by_class = dict(zip(found.tolist(), counts))
+        return cls(counts if classes is None else [by_class.get(c, 0) for c in classes])
 
     @property
     def n(self) -> int:
@@ -118,6 +117,7 @@ def sadd_threshold(theta: float, n: int, n0: int) -> float:
 
 # --- vectorized splitting engine -------------------------------------------
 #
+# Class labels are coded once per scheme and shared by its attributes.
 # Values are sorted once per attribute; nodes are index ranges [lo, hi) into
 # the sorted order.  A prefix-count matrix makes per-node class counts O(k)
 # and keeps the whole recursion near O(n log n) for balanced splits.
@@ -174,14 +174,13 @@ def _mdlp_threshold(parent: np.ndarray, left: np.ndarray, right: np.ndarray) -> 
     return math.log2(n - 1) / n + delta / n
 
 
-def _partition(values: np.ndarray, labels: np.ndarray, n0: int | None) -> list[float]:
-    """Recursive top-down splitting; ``n0 is None`` uses the plain threshold."""
+def _partition(values: np.ndarray, codes: np.ndarray, n0: int | None) -> list[float]:
+    """Top-down splitting of ``values`` by class ``codes``; ``n0 is None``: plain threshold."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("cannot partition an empty attribute")
     if np.isnan(values).any():
         raise ValueError("attribute has missing values; impute first")
-    _, codes = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
     order = np.argsort(values, kind="stable")
     sorted_values = values[order]
     prefix = _prefix_counts(codes[order], int(codes.max()) + 1)
@@ -223,7 +222,7 @@ def best_cut(values: Sequence[float] | np.ndarray, labels: Sequence[str]) -> Cut
         raise ValueError("attribute has missing values; impute first")
     if np.any(np.diff(values) < 0):
         raise ValueError("values must be sorted ascending")
-    _, codes = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
+    codes = class_codes(labels)[1]
     prefix = _prefix_counts(codes, int(codes.max()) + 1)
     found = _best_split(values, prefix, 0, len(values))
     if found is None:
@@ -238,7 +237,7 @@ def best_cut(values: Sequence[float] | np.ndarray, labels: Sequence[str]) -> Cut
 
 def mdlp_partition(values: Sequence[float] | np.ndarray, labels: Sequence[str]) -> list[float]:
     """Cut list from recursive splitting under the plain coding-cost rule."""
-    return _partition(np.asarray(values, dtype=float), np.asarray(labels, dtype=object), None)
+    return _partition(values, class_codes(labels)[1], None)
 
 
 def sadd_partition(
@@ -247,7 +246,7 @@ def sadd_partition(
     """Cut list from recursive splitting under the sigmoid-scaled rule."""
     if n0 < 1:
         raise ValueError("n0 must be at least 1")
-    return _partition(np.asarray(values, dtype=float), np.asarray(labels, dtype=object), n0)
+    return _partition(values, class_codes(labels)[1], n0)
 
 
 def equal_width(values: Sequence[float] | np.ndarray, bins: int) -> list[float]:
@@ -324,9 +323,14 @@ def build_scheme(
     """Run the chosen partitioner on every numeric attribute of ``data``."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method == "sadd" and n0 < 1:
+        raise ValueError("n0 must be at least 1")
+    if method in ("eqw", "eqf") and bins < 1:
+        raise ValueError("bins must be at least 1")
     label_arr = data.labels if labels is None else np.asarray(labels, dtype=object)
     if len(label_arr) != data.n_rows:
         raise ValueError("labels must align with rows")
+    codes = class_codes(label_arr)[1] if method in ("mdlp", "sadd") else None
     cuts: list[np.ndarray] = []
     for j, kind in enumerate(data.kinds):
         if kind is not AttributeKind.NUMERIC:
@@ -335,20 +339,13 @@ def build_scheme(
         if data.missing[:, j].any():
             raise ValueError(f"attribute {data.names[j]!r} has missing values; impute first")
         col = data.columns[j]
-        if method == "mdlp":
-            cuts.append(np.asarray(mdlp_partition(col, label_arr)))
-        elif method == "sadd":
-            cuts.append(np.asarray(sadd_partition(col, label_arr, n0)))
-        elif method == "eqw":
+        if method == "eqw":
             cuts.append(np.asarray(equal_width(col, bins)))
-        else:
+        elif method == "eqf":
             cuts.append(np.asarray(equal_frequency(col, bins)))
-    if method == "sadd":
-        params = {"n0": n0}
-    elif method in ("eqw", "eqf"):
-        params = {"bins": bins}
-    else:
-        params = {}
+        else:
+            cuts.append(np.asarray(_partition(col, codes, n0 if method == "sadd" else None)))
+    params = {"sadd": {"n0": n0}, "eqw": {"bins": bins}, "eqf": {"bins": bins}}.get(method, {})
     return DiscretizationScheme(
         method=method, params=params, names=list(data.names), kinds=list(data.kinds), cuts=cuts
     )
@@ -384,14 +381,17 @@ def mutual_information(
     interval_indices: Sequence[int] | np.ndarray, labels: Sequence[str] | np.ndarray
 ) -> float:
     """Empirical mutual information (bits) between an attribute and the class."""
+    return _mutual_information(interval_indices, class_codes(labels)[1])
+
+
+def _mutual_information(interval_indices: Sequence[int] | np.ndarray, yi: np.ndarray) -> float:
+    """``mutual_information`` with the labels given as ``class_codes``."""
     x = np.asarray(interval_indices)
-    y = np.asarray(labels, dtype=object)
     if x.size == 0:
         raise ValueError("empty input")
-    if x.size != y.size:
+    if x.size != yi.size:
         raise ValueError("indices and labels must align")
     _, xi = np.unique(x, return_inverse=True)
-    _, yi = np.unique(y, return_inverse=True)
     joint = np.zeros((int(xi.max()) + 1, int(yi.max()) + 1))
     np.add.at(joint, (xi, yi), 1.0)
     joint /= x.size

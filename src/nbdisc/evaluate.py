@@ -29,6 +29,7 @@ from scipy.special import stdtr
 
 from .data import (
     Dataset,
+    class_codes,
     concat_rows,
     fill_missing,
     imputation_values,
@@ -41,9 +42,9 @@ from .discretize import (
     DEFAULT_N0,
     DiscretizationScheme,
     METHODS,
+    _mutual_information,
     apply_scheme,
     build_scheme,
-    mutual_information,
     scheme_from_dict,
     scheme_to_dict,
 )
@@ -313,14 +314,14 @@ def diagnostics_table(
     scheme: DiscretizationScheme, disc_data: Dataset, labels: Sequence[str] | np.ndarray
 ) -> DiagnosticsTable:
     """Interval count and attribute/class mutual information per numeric attribute."""
-    labels = np.asarray(labels, dtype=object)
+    codes = class_codes(labels)[1]
     rows = []
     for j in disc_data.numeric_attrs():
         rows.append(
             AttributeDiagnostic(
                 name=disc_data.names[j],
                 intervals=scheme.n_intervals(j),
-                mi=mutual_information(disc_data.columns[j].astype(int), labels),
+                mi=_mutual_information(disc_data.columns[j].astype(int), codes),
             )
         )
     return DiagnosticsTable(rows=rows)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import AttributeKind, Dataset, stratified_folds
+from .data import AttributeKind, Dataset, class_codes, stratified_folds
 
 DEFAULT_K_GRID: tuple[int, ...] = tuple(range(1, 32, 2))
 _BLOCK_ENTRIES = 1 << 16  # distances per ranking block: a cache-sized (n_queries, n_ref) slab
@@ -176,7 +176,7 @@ def knn_predict(
     labeled_x = np.asarray(labeled_x, dtype=float)
     if labeled_x.shape[0] == 0:
         raise ValueError("no labeled rows")
-    classes, codes = np.unique(np.asarray(labeled_y, dtype=object), return_inverse=True)
+    classes, codes = class_codes(labeled_y)
     if space is None:
         space = _all_numeric_space(labeled_x.shape[1])
     pred = _predict_codes(space, labeled_x, codes, np.asarray(query_row, float)[None, :], config.k)
@@ -218,7 +218,7 @@ def select_k(
     space = FeatureSpace.fit(fit)
     ref = space.encode(fit)
     queries = space.encode(val)
-    classes, codes = np.unique(fit.labels, return_inverse=True)
+    classes, codes = class_codes(fit.labels)
 
     feasible = [k for k in sorted(set(int(k) for k in grid)) if 1 <= k <= fit.n_rows]
     if not feasible:
@@ -239,5 +239,5 @@ def pseudo_label(labeled: Dataset, unlabeled: Dataset, config: KnnConfig) -> np.
     space = FeatureSpace.fit(labeled)
     ref = space.encode(labeled)
     queries = space.encode(unlabeled)
-    classes, codes = np.unique(labeled.labels, return_inverse=True)
+    classes, codes = class_codes(labeled.labels)
     return classes[_predict_codes(space, ref, codes, queries, config.k)]

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import AttributeKind, Dataset
+from .data import AttributeKind, Dataset, class_codes
 from .discretize import DiscretizationScheme, sigmoid
 
 
@@ -146,7 +146,7 @@ def fit_nb(table: DiscreteTable, labels: Sequence[str] | np.ndarray) -> NbModel:
         raise ValueError("empty training set")
     if len(labels) != n:
         raise ValueError("labels must align with rows")
-    classes, codes = np.unique(labels, return_inverse=True)
+    classes, codes = class_codes(labels)
     classes = classes.tolist()
     class_counts = np.bincount(codes, minlength=len(classes)).astype(np.int64)
     priors = (class_counts + 1.0) / (n + len(classes))

@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from helpers import make_dataset
 
+import nbdisc.data as data_module
 from nbdisc.data import (
     AttributeKind,
+    class_codes,
     concat_rows,
     impute_missing,
     load_csv,
@@ -62,6 +66,27 @@ class TestLoadCsv:
         p.write_text("x,class\nabc,A\n")
         with pytest.raises(ValueError, match="unparseable numeric"):
             load_csv(p, schema_hint={"x": AttributeKind.NUMERIC})
+
+    def test_unparseable_cell_names_its_row(self, tmp_path):
+        p = tmp_path / "h.csv"
+        p.write_text("x,class\n1,A\n?,B\nabc,A\n2,B\n")
+        with pytest.raises(ValueError, match="column 'x', row 4: unparseable numeric cell 'abc'"):
+            load_csv(p, schema_hint={"x": AttributeKind.NUMERIC})
+
+    def test_each_present_numeric_cell_parsed_once(self, tmp_path, monkeypatch):
+        p = tmp_path / "p.csv"
+        p.write_text("x,y,c,class\n1.5,?,a,A\n?,2,b,B\n-3,4e2,a,A\n0.1,?,?,B\n")
+        parsed = []
+        real = data_module._parse_finite
+        monkeypatch.setattr(
+            data_module, "_parse_finite", lambda cell: parsed.append(cell) or real(cell)
+        )
+        data = load_csv(p, schema_hint={"c": AttributeKind.CATEGORICAL})
+        assert data.kinds == [AttributeKind.NUMERIC] * 2 + [AttributeKind.CATEGORICAL]
+        assert len(parsed) == (~data.missing[:, :2]).sum() == 5
+        assert np.array_equal(data.columns[0], [1.5, np.nan, -3.0, 0.1], equal_nan=True)
+        assert np.array_equal(data.columns[1], [np.nan, 2.0, 400.0, np.nan], equal_nan=True)
+        assert data.columns[2].tolist() == ["a", "b", "a", "?"]
 
     def test_non_finite_is_not_numeric(self, tmp_path):
         p = tmp_path / "inf.csv"
@@ -131,6 +156,23 @@ class TestImpute:
             impute_missing(data, data)
 
 
+class TestClassCodes:
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from(["", "A", "a", "é", "日本", "A "]), st.text(max_size=3)),
+            max_size=40,
+        )
+    )
+    @example([])
+    @example(["only"] * 5)
+    def test_equals_unique_oracle(self, labels):
+        classes, codes = class_codes(labels)
+        want_classes, want_codes = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
+        assert classes.dtype == object and codes.dtype == np.intp
+        assert classes.tolist() == want_classes.tolist()
+        assert np.array_equal(codes, want_codes)
+
+
 class TestStratifiedFolds:
     def test_balanced_iris(self, iris):
         plan = stratified_folds(iris, 10, seed=1)
@@ -164,6 +206,21 @@ class TestStratifiedFolds:
                     int((data.labels[plan.test_rows(f)] == cls).sum()) for f in range(folds)
                 ]
                 assert max(counts) - min(counts) <= 1
+
+    def test_rows_dealt_per_class_in_sorted_class_order(self):
+        # the per-class scan over sorted classes is the reference for row order and draws
+        rng = np.random.default_rng(8)
+        for trial in range(20):
+            n = int(rng.integers(10, 60))
+            labels = [f"c{i}" for i in rng.integers(0, 4, n)]
+            data = make_dataset({"x": list(range(n))}, labels)
+            folds = int(rng.integers(2, 8))
+            draws = np.random.default_rng(trial)
+            expected = np.full(n, -1)
+            for cls in sorted(set(labels)):
+                rows = draws.permutation(np.flatnonzero(data.labels == cls))
+                expected[rows] = np.arange(len(rows)) % folds
+            assert np.array_equal(stratified_folds(data, folds, trial).assignments, expected)
 
     def test_every_row_exactly_one_fold(self, iris):
         plan = stratified_folds(iris, 10, seed=0)

@@ -7,7 +7,9 @@ import pytest
 
 from helpers import brute_force_best_cut, entropy_bits, make_dataset
 
-from nbdisc.data import AttributeKind
+import nbdisc.discretize as discretize_module
+import nbdisc.evaluate as evaluate_module
+from nbdisc.data import AttributeKind, class_codes, impute_missing
 from nbdisc.discretize import (
     ClassCounts,
     CutCandidate,
@@ -275,8 +277,6 @@ class TestScheme:
             build_scheme(iris, None, "chimera")
 
     def test_categorical_passthrough(self, toy_mixed):
-        from nbdisc.data import impute_missing
-
         imputed = impute_missing(toy_mixed, toy_mixed)
         scheme = build_scheme(imputed, None, "mdlp")
         assert scheme.cuts[1].size == 0
@@ -286,6 +286,56 @@ class TestScheme:
         data = make_dataset({"c": ["x", "y", "x"]}, ["A", "B", "A"])
         scheme = build_scheme(data, None, "sadd")
         assert [c.size for c in scheme.cuts] == [0]
+
+    @pytest.mark.parametrize("numeric", [False, True])
+    @pytest.mark.parametrize(
+        "method, params, message",
+        [
+            ("sadd", {"n0": 0}, "n0 must be at least 1"),
+            ("eqw", {"bins": 0}, "bins must be at least 1"),
+            ("eqf", {"bins": -1}, "bins must be at least 1"),
+        ],
+    )
+    def test_bad_params_rejected_for_any_attributes(self, numeric, method, params, message):
+        columns = {"c": ["x", "y", "x"]}
+        if numeric:
+            columns["v"] = [1.0, 2.0, 3.0]
+        data = make_dataset(columns, ["A", "B", "A"])
+        with pytest.raises(ValueError, match=message):
+            build_scheme(data, None, method, **params)
+
+    @pytest.mark.parametrize("fixture", ["iris", "toy_mixed"])
+    @pytest.mark.parametrize("method", ["mdlp", "sadd"])
+    def test_cuts_equal_per_attribute_partition(self, request, fixture, method):
+        data = request.getfixturevalue(fixture)
+        data = impute_missing(data, data)
+        scheme = build_scheme(data, None, method, n0=40)
+        for j, kind in enumerate(data.kinds):
+            col = data.columns[j]
+            if kind is not AttributeKind.NUMERIC:
+                expected = []
+            elif method == "mdlp":
+                expected = mdlp_partition(col, data.labels)
+            else:
+                expected = sadd_partition(col, data.labels, 40)
+            assert scheme.cuts[j].tolist() == expected
+
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_labels_coded_once_per_call(self, iris, monkeypatch, width):
+        calls = []
+
+        def counting(labels):
+            calls.append(len(labels))
+            return class_codes(labels)
+
+        monkeypatch.setattr(discretize_module, "class_codes", counting)
+        monkeypatch.setattr(evaluate_module, "class_codes", counting)
+        data = make_dataset({iris.names[j]: iris.columns[j] for j in range(width)}, iris.labels)
+        for method in ("mdlp", "sadd"):
+            scheme = build_scheme(data, None, method, n0=40)
+            evaluate_module.diagnostics_table(scheme, apply_scheme(scheme, data), data.labels)
+            assert calls == [150, 150]
+            calls.clear()
 
     def test_apply_index_convention(self):
         data = make_dataset({"x": [1.0, 2.0, 3.0, 4.0]}, ["A"] * 4)
@@ -338,6 +388,12 @@ class TestScheme:
         assert back.kinds == scheme.kinds
         for a, b in zip(back.cuts, scheme.cuts):
             assert np.array_equal(a, b)
+
+
+def test_class_counts_from_labels():
+    assert ClassCounts.from_labels(["b", "a", "b"]).counts.tolist() == [1, 2]
+    assert ClassCounts.from_labels(["b", "a", "b"], ["c", "b"]).counts.tolist() == [0, 2]
+    assert ClassCounts.from_labels([]).counts.tolist() == []
 
 
 class TestMutualInformation:
