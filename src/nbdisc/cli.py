@@ -32,7 +32,14 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .data import AttributeKind, Dataset, MISSING_TOKEN, load_csv, load_schema
-from .discretize import DEFAULT_BINS, DEFAULT_N0, METHODS, save_scheme, threshold_curve
+from .discretize import (
+    DEFAULT_BINS,
+    DEFAULT_N0,
+    METHODS,
+    save_scheme,
+    shared_split_trees,
+    threshold_curve,
+)
 from .evaluate import (
     CLASSIFIERS,
     EvalReport,
@@ -142,11 +149,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for config in configs:
             tasks.append((len(tasks), data, name, config, folds))
     reports: list[EvalReport | None] = [None] * len(tasks)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(_bench_one, tasks))
-    else:
-        outcomes = [_bench_one(task) for task in tasks]
+    # configs that read the same rows evaluate each split node once (under
+    # --jobs, once per forked worker)
+    with shared_split_trees():
+        if args.jobs > 1:
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                outcomes = list(pool.map(_bench_one, tasks))
+        else:
+            outcomes = [_bench_one(task) for task in tasks]
     for index, report, error in outcomes:
         if error is not None:
             _, _, name, config, _ = tasks[index]

@@ -14,15 +14,35 @@ exceeds a coding-cost threshold.  Two acceptance rules are provided:
 
 Unsupervised baselines: equal-width and equal-frequency binning.
 Entropies are in bits throughout.
+
+Both supervised rules read one node table per input.  A node is a row range
+``[lo, hi)`` of the stably sorted column, and its record holds the best cut
+position, the cut value, the gain and the unscaled threshold.  The record
+depends only on the column, the class codes and ``(lo, hi)``, not on the
+rule, so a walk applies ``gain > theta`` (``mdlp``) or
+``gain > sigmoid((hi - lo) / N0) * theta`` (``sadd``) to stored records with
+the same expressions as a fresh recursion, and every rule's cuts stay
+bit-identical.  A walk evaluates only the nodes its own rule visits, and a
+walk whose nodes are all recorded skips the sort.
+
+Outside a ``shared_split_trees()`` block each call starts an empty table, so
+nothing is kept.  Inside one, tables are kept for the whole block under a
+128-bit blake2b digest of the float64 column bytes and the ``intp`` code
+bytes; ``nbdisc bench`` opens one per command, so ``sadd`` and ``mdlp``
+configs on the same rows evaluate each node once.  Only node records are
+kept (no sorted values or prefix counts): a few kilobytes per attribute.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -118,17 +138,38 @@ def sadd_threshold(theta: float, n: int, n0: int) -> float:
 # --- vectorized splitting engine -------------------------------------------
 #
 # Class labels are coded once per scheme and shared by its attributes.
-# Values are sorted once per attribute; nodes are index ranges [lo, hi) into
+# Values are sorted at most once per call; nodes are index ranges [lo, hi) into
 # the sorted order.  A prefix-count matrix makes per-node class counts O(k)
 # and keeps the whole recursion near O(n log n) for balanced splits.
 
 
-def _entropy_rows(counts: np.ndarray) -> np.ndarray:
-    counts = counts.astype(float)
-    total = counts.sum(axis=1, keepdims=True)
-    p = np.divide(counts, total, out=np.zeros_like(counts), where=total > 0)
-    logp = np.log2(p, out=np.zeros_like(p), where=p > 0)
-    return -(p * logp).sum(axis=1)
+def _entropy_rows(counts: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Entropy in bits of each row of class ``counts``; 0*log(0) counts as 0.
+
+    ``rows`` holds the row sums when the caller has them; every row sum
+    must be positive.
+    """
+    if rows is None:
+        rows = counts.sum(axis=1)
+    p = counts / rows[:, None]
+    plogp = np.where(p > 0, p, 1.0)
+    np.log2(plogp, out=plogp)
+    plogp *= p
+    return -plogp.sum(axis=1)
+
+
+def _cut_gains(parent: np.ndarray, left: np.ndarray, n_left: np.ndarray) -> np.ndarray:
+    """Gain of splitting ``parent`` counts into each ``left`` row and the rest.
+
+    ``n_left`` holds the row sums of ``left``; each lies strictly between 0
+    and the parent's size, so both sides are non-empty.
+    """
+    n = int(parent.sum())
+    return (
+        _entropy_rows(parent[None, :])[0]
+        - n_left / n * _entropy_rows(left, n_left)
+        - (n - n_left) / n * _entropy_rows(parent - left, n - n_left)
+    )
 
 
 def _prefix_counts(codes: np.ndarray, n_classes: int) -> np.ndarray:
@@ -147,16 +188,7 @@ def _best_split(
     positions = np.flatnonzero(seg[1:] != seg[:-1]) + lo + 1
     if positions.size == 0:
         return None
-    parent = prefix[hi] - prefix[lo]
-    left = prefix[positions] - prefix[lo]
-    right = parent - left
-    n = hi - lo
-    n_left = positions - lo
-    gains = (
-        _entropy_rows(parent[None, :])[0]
-        - n_left / n * _entropy_rows(left)
-        - (n - n_left) / n * _entropy_rows(right)
-    )
+    gains = _cut_gains(prefix[hi] - prefix[lo], prefix[positions] - prefix[lo], positions - lo)
     # first candidate within rounding noise of the max: ties go to smallest d
     best = int(np.argmax(gains >= gains.max() - 1e-12))
     return int(positions[best]), float(max(gains[best], 0.0))
@@ -174,6 +206,55 @@ def _mdlp_threshold(parent: np.ndarray, left: np.ndarray, right: np.ndarray) -> 
     return math.log2(n - 1) / n + delta / n
 
 
+# A node record: (cut position, cut value, gain, unscaled threshold), or None
+# when the node has a single distinct value.
+_Node = tuple[int, float, float, float]
+_NodeTable = dict[tuple[int, int], _Node | None]
+
+# digest of (column, codes) -> node table, set inside shared_split_trees()
+_shared_tables: ContextVar[dict[bytes, _NodeTable] | None] = ContextVar(
+    "shared_split_tables", default=None
+)
+
+
+@contextmanager
+def shared_split_trees() -> Iterator[None]:
+    """Keep every partitioned input's node table until the block ends.
+
+    Cuts are the same inside and outside the block; inside it, a node that
+    an earlier call on the same column and class codes evaluated is read
+    back instead of evaluated again.  Nested blocks share the outer tables.
+    """
+    token = None if _shared_tables.get() is not None else _shared_tables.set({})
+    try:
+        yield
+    finally:
+        if token is not None:
+            _shared_tables.reset(token)
+
+
+def _node_table(values: np.ndarray, codes: np.ndarray) -> _NodeTable:
+    tables = _shared_tables.get()
+    if tables is None:
+        return {}
+    h = hashlib.blake2b(digest_size=16)
+    h.update(np.ascontiguousarray(values, dtype=np.float64))
+    h.update(np.ascontiguousarray(codes, dtype=np.intp))
+    return tables.setdefault(h.digest(), {})
+
+
+def _evaluate_node(
+    sorted_values: np.ndarray, prefix: np.ndarray, lo: int, hi: int
+) -> _Node | None:
+    found = _best_split(sorted_values, prefix, lo, hi)
+    if found is None:
+        return None
+    pos, gain = found
+    parent = prefix[hi] - prefix[lo]
+    left = prefix[pos] - prefix[lo]
+    return pos, float(sorted_values[pos]), gain, _mdlp_threshold(parent, left, parent - left)
+
+
 def _partition(values: np.ndarray, codes: np.ndarray, n0: int | None) -> list[float]:
     """Top-down splitting of ``values`` by class ``codes``; ``n0 is None``: plain threshold."""
     values = np.asarray(values, dtype=float)
@@ -181,9 +262,8 @@ def _partition(values: np.ndarray, codes: np.ndarray, n0: int | None) -> list[fl
         raise ValueError("cannot partition an empty attribute")
     if np.isnan(values).any():
         raise ValueError("attribute has missing values; impute first")
-    order = np.argsort(values, kind="stable")
-    sorted_values = values[order]
-    prefix = _prefix_counts(codes[order], int(codes.max()) + 1)
+    table = _node_table(values, codes)
+    sorted_values = prefix = None
 
     cuts: list[float] = []
     stack = [(0, len(values))]
@@ -191,17 +271,21 @@ def _partition(values: np.ndarray, codes: np.ndarray, n0: int | None) -> list[fl
         lo, hi = stack.pop()
         if hi - lo <= 1:
             continue
-        found = _best_split(sorted_values, prefix, lo, hi)
-        if found is None:
+        if (lo, hi) in table:
+            node = table[lo, hi]
+        else:
+            if sorted_values is None:
+                order = np.argsort(values, kind="stable")
+                sorted_values = values[order]
+                prefix = _prefix_counts(codes[order], int(codes.max()) + 1)
+            node = table[lo, hi] = _evaluate_node(sorted_values, prefix, lo, hi)
+        if node is None:
             continue
-        pos, gain = found
-        parent = prefix[hi] - prefix[lo]
-        left = prefix[pos] - prefix[lo]
-        theta = _mdlp_threshold(parent, left, parent - left)
+        pos, cut, gain, theta = node
         if n0 is not None:
             theta = sigmoid((hi - lo) / n0) * theta
         if gain > theta:
-            cuts.append(float(sorted_values[pos]))
+            cuts.append(cut)
             stack.append((lo, pos))
             stack.append((pos, hi))
     return sorted(cuts)
@@ -392,9 +476,9 @@ def _mutual_information(interval_indices: Sequence[int] | np.ndarray, yi: np.nda
     if x.size != yi.size:
         raise ValueError("indices and labels must align")
     _, xi = np.unique(x, return_inverse=True)
-    joint = np.zeros((int(xi.max()) + 1, int(yi.max()) + 1))
-    np.add.at(joint, (xi, yi), 1.0)
-    joint /= x.size
+    n_classes = int(yi.max()) + 1
+    counts = np.bincount(xi * n_classes + yi, minlength=(int(xi.max()) + 1) * n_classes)
+    joint = counts.reshape(-1, n_classes) / x.size
     px = joint.sum(axis=1, keepdims=True)
     py = joint.sum(axis=0, keepdims=True)
     mask = joint > 0

@@ -155,8 +155,7 @@ def fit_nb(table: DiscreteTable, labels: Sequence[str] | np.ndarray) -> NbModel:
         col = table.x[:, j]
         if (col < 0).any() or (col >= a).any():
             raise ValueError(f"attribute {table.names[j]!r}: value index out of arity range")
-        counts = np.zeros((len(classes), a))
-        np.add.at(counts, (codes, col), 1.0)
+        counts = np.bincount(codes * a + col, minlength=len(classes) * a).reshape(-1, a)
         cond.append((counts + 1.0) / (class_counts[:, None] + a))
     return NbModel(
         classes=classes,

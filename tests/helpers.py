@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+import nbdisc.discretize as discretize_module
 from nbdisc.data import AttributeKind, Dataset
 from nbdisc.weighted_nb import WeightedParams, fit_nb, gradient, objective
 
@@ -82,6 +83,43 @@ def brute_force_best_cut(values, labels):
         if best is None or gain > best[1] + 1e-12:
             best = (d, max(gain, 0.0))
     return best
+
+
+def masked_entropy_rows(counts):
+    """Row entropies in bits by masked division: empty rows and 0*log(0) give 0."""
+    counts = counts.astype(float)
+    total = counts.sum(axis=1, keepdims=True)
+    p = np.divide(counts, total, out=np.zeros_like(counts), where=total > 0)
+    logp = np.log2(p, out=np.zeros_like(p), where=p > 0)
+    return -(p * logp).sum(axis=1)
+
+
+def masked_cut_gains(parent, left, n_left):
+    """Gain of splitting ``parent`` counts into each ``left`` row and the rest.
+
+    The vectorized gain formula written with ``masked_entropy_rows``, in the
+    same order of floating-point operations as the splitter, so the two can
+    be compared bit for bit.
+    """
+    n = int(parent.sum())
+    return (
+        masked_entropy_rows(parent[None, :])[0]
+        - n_left / n * masked_entropy_rows(left)
+        - (n - n_left) / n * masked_entropy_rows(parent - left)
+    )
+
+
+def count_node_evaluations(monkeypatch):
+    """Patch the splitter's node evaluation; return the list of (lo, hi) it records."""
+    calls = []
+    real = discretize_module._best_split
+
+    def counting(values, prefix, lo, hi):
+        calls.append((lo, hi))
+        return real(values, prefix, lo, hi)
+
+    monkeypatch.setattr(discretize_module, "_best_split", counting)
+    return calls
 
 
 def brute_force_nb_posterior(x_train, y_train, arity, query):

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import count_node_evaluations
+
 import nbdisc
 from nbdisc.cli import main
 from nbdisc.discretize import load_scheme
@@ -332,12 +334,29 @@ class TestBenchCommand:
             [
                 {"method": "mdlp", "classifier": "nb"},
                 {"method": "eqw", "classifier": "nb"},
+                {"method": "sadd", "classifier": "nb", "pseudo_label": False},
             ],
         )
         assert main(["bench", str(manifest)]) == 0
         serial = (tmp_path / "out" / "results.json").read_bytes()
         assert main(["bench", str(manifest), "--jobs", "2"]) == 0
         assert (tmp_path / "out" / "results.json").read_bytes() == serial
+
+    def test_configs_on_the_same_rows_share_split_nodes(self, iris_path, tmp_path, monkeypatch):
+        calls = count_node_evaluations(monkeypatch)
+
+        def evaluations(*configs):
+            calls.clear()
+            assert main(["bench", str(write_manifest(tmp_path, iris_path, list(configs)))]) == 0
+            return len(calls)
+
+        sadd = {"method": "sadd", "classifier": "nb", "pseudo_label": False}
+        mdlp = {"method": "mdlp", "classifier": "nb"}
+        alone = evaluations(sadd)
+        assert evaluations(mdlp) > 0
+        # the mdlp trees are subtrees of the sadd trees on the same rows
+        assert evaluations(sadd, mdlp, {"method": "eqf", "classifier": "nb"}) <= alone
+        assert evaluations(mdlp, sadd) <= alone
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -4,8 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import brute_force_best_cut, entropy_bits, make_dataset
+from helpers import (
+    brute_force_best_cut,
+    count_node_evaluations,
+    entropy_bits,
+    make_dataset,
+    masked_cut_gains,
+)
 
 import nbdisc.discretize as discretize_module
 import nbdisc.evaluate as evaluate_module
@@ -27,6 +35,7 @@ from nbdisc.discretize import (
     sadd_partition,
     sadd_threshold,
     save_scheme,
+    shared_split_trees,
     sigmoid,
     threshold_curve,
 )
@@ -240,6 +249,107 @@ class TestPartitions:
     def test_missing_values_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             mdlp_partition([1.0, float("nan")], ["A", "B"])
+
+
+class TestCutGains:
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.integers(1, 6))
+    def test_bit_equal_to_masked_formula(self, n_classes, seed, magnitude):
+        rng = np.random.default_rng(seed)
+        parent = rng.integers(0, 10**magnitude, n_classes)
+        parent[rng.integers(0, n_classes)] += 2
+        left = rng.integers(0, parent + 1, (300, n_classes))
+        # some classes empty on one side, so 0*log(0) terms are exercised
+        left[rng.random(left.shape) < 0.2] = 0
+        n_left = left.sum(axis=1)
+        keep = (n_left > 0) & (n_left < parent.sum())
+        left, n_left = left[keep], n_left[keep]
+        got = discretize_module._cut_gains(parent, left, n_left)
+        want = masked_cut_gains(parent, left, n_left)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @given(st.integers(1, 6).flatmap(
+        lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k - 1), min_size=2, max_size=200))
+    ), st.data())
+    def test_bit_equal_on_prefix_count_nodes(self, problem, data):
+        n_classes, codes = problem
+        lo = data.draw(st.integers(0, len(codes) - 2))
+        hi = data.draw(st.integers(lo + 2, len(codes)))
+        prefix = discretize_module._prefix_counts(np.asarray(codes), n_classes)
+        positions = np.arange(lo + 1, hi)
+        parent, left = prefix[hi] - prefix[lo], prefix[positions] - prefix[lo]
+        got = discretize_module._cut_gains(parent, left, positions - lo)
+        want = masked_cut_gains(parent, left, positions - lo)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@st.composite
+def tied_columns(draw):
+    """(values, codes): few distinct values, 1-5 classes, labels partly set by value."""
+    n = draw(st.integers(1, 150))
+    n_classes = draw(st.integers(1, 5))
+    levels = draw(st.integers(1, 12))
+    values = draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n))
+    by_level = draw(st.lists(st.integers(0, n_classes - 1), min_size=levels, max_size=levels))
+    noise = draw(st.lists(st.integers(-4, n_classes - 1), min_size=n, max_size=n))
+    codes = [by_level[v] if c < 0 else c for v, c in zip(values, noise)]
+    return np.asarray(values, dtype=float) / 4, np.asarray(codes, dtype=np.intp)
+
+
+RULES = (None, 1, 7, 100, 2000)  # None: mdlp; otherwise sadd's n0
+
+
+class TestSharedSplitTrees:
+    @given(
+        st.lists(tied_columns(), min_size=1, max_size=3),
+        st.lists(st.sampled_from(RULES), min_size=1, max_size=10),
+    )
+    def test_walks_equal_fresh_partitions(self, columns, rules):
+        # same values under other codes must not read the first column's table
+        columns = columns + [(values, codes[::-1]) for values, codes in columns]
+        partition = discretize_module._partition
+        fresh = [{rule: partition(v, c, rule) for rule in RULES} for v, c in columns]
+        with shared_split_trees():
+            for rule in rules:
+                for (values, codes), want in zip(columns, fresh):
+                    assert partition(values, codes, rule) == want[rule]
+        for want in fresh:
+            for n0 in RULES[1:]:
+                assert set(want[None]) <= set(want[n0])
+
+    def test_repeated_input_evaluates_no_node_twice(self, iris, monkeypatch):
+        calls = count_node_evaluations(monkeypatch)
+        col, labels = iris.columns[2], iris.labels
+        with shared_split_trees():
+            sadd = sadd_partition(col, labels, 2000)
+            first = list(calls)
+            assert first and len(set(first)) == len(first)
+            # the mdlp tree is a subtree of the sadd tree: nothing new
+            assert set(mdlp_partition(col, labels)) <= set(sadd)
+            assert sadd_partition(col, labels, 2000) == sadd
+            assert calls == first
+        assert discretize_module._shared_tables.get() is None
+
+    def test_calls_outside_a_block_evaluate_their_nodes(self, iris, monkeypatch):
+        # keeps criterion 10 a measurement of the splitter, not of a lookup
+        calls = count_node_evaluations(monkeypatch)
+        col, labels = iris.columns[2], iris.labels
+        first = sadd_partition(col, labels, 2000)
+        evaluated = len(calls)
+        assert evaluated > 0
+        assert sadd_partition(col, labels, 2000) == first
+        assert len(calls) == 2 * evaluated
+
+    def test_nested_blocks_share_tables(self, iris, monkeypatch):
+        calls = count_node_evaluations(monkeypatch)
+        col, labels = iris.columns[2], iris.labels
+        with shared_split_trees():
+            mdlp_partition(col, labels)
+            evaluated = len(calls)
+            with shared_split_trees():
+                mdlp_partition(col, labels)
+            assert discretize_module._shared_tables.get() is not None
+            mdlp_partition(col, labels)
+        assert len(calls) == evaluated > 0
 
 
 class TestUnsupervisedBins:
