@@ -19,7 +19,9 @@ A bench manifest is a JSON file:
 
 Config entries take any PipelineConfig field; omitted fields use defaults
 and the fully resolved configuration is echoed into the results file along
-with the seed and a per-config hash, so reruns are byte-identical.
+with the seed and a per-config hash, so reruns are byte-identical.  The
+``--seed``, ``--folds`` and ``--output-dir`` flags, when given, win over the
+manifest's values; the manifest's values win over the flags' defaults.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 
 from .data import AttributeKind, Dataset, MISSING_TOKEN, load_csv, load_schema
@@ -48,10 +52,11 @@ from .evaluate import (
     PipelineError,
     config_from_dict,
     config_hash,
-    cross_validate,
+    cross_validate_configs,
     emit_report,
     fit_pipeline,
     format_comparison_table,
+    run_folds,
     whole_data_diagnostics,
 )
 
@@ -108,21 +113,27 @@ def _manifest_from_args(args: argparse.Namespace) -> dict:
         }
     if not manifest.get("datasets") or not manifest.get("configs"):
         raise ValueError("manifest needs at least one dataset and one config")
-    manifest.setdefault("seed", args.seed)
-    manifest.setdefault("folds", args.folds)
-    manifest.setdefault("output_dir", args.output_dir)
+    # a flag given on the command line wins over the manifest's value
+    for key, flag, default in (("seed", args.seed, 0), ("folds", args.folds, 10),
+                               ("output_dir", args.output_dir, "results")):
+        manifest[key] = manifest.get(key, default) if flag is None else flag
     return manifest
 
 
-def _bench_one(task) -> tuple[int, EvalReport | None, str | None]:
-    index, data, name, config, folds = task
-    try:
-        return index, cross_validate(data, config, folds=folds, dataset_name=name), None
-    except Exception as exc:  # noqa: BLE001 - reported per run, bench continues
-        return index, None, str(exc)
+_worker_datasets: list[Dataset] = []  # in a --jobs worker: the bench's datasets
+
+
+def _init_worker(datasets: list[Dataset]) -> None:
+    _worker_datasets[:] = datasets
+
+
+def _worker_folds(index: int, task: tuple) -> list:
+    return run_folds(_worker_datasets[index], *task)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     manifest = _manifest_from_args(args)
     seed = int(manifest["seed"])
     folds = int(manifest["folds"])
@@ -144,27 +155,26 @@ def cmd_bench(args: argparse.Namespace) -> int:
         doc.setdefault("seed", seed)
         configs.append(config_from_dict(doc))
 
-    tasks = []
-    for name, data in datasets:
-        for config in configs:
-            tasks.append((len(tasks), data, name, config, folds))
-    reports: list[EvalReport | None] = [None] * len(tasks)
+    completed: list[EvalReport] = []
     # configs that read the same rows evaluate each split node once (under
-    # --jobs, once per forked worker)
-    with shared_split_trees():
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                outcomes = list(pool.map(_bench_one, tasks))
-        else:
-            outcomes = [_bench_one(task) for task in tasks]
-    for index, report, error in outcomes:
-        if error is not None:
-            _, _, name, config, _ = tasks[index]
-            failures.append(f"{name} / {config.label()} (config {config_hash(config)}): {error}")
-        else:
-            reports[index] = report
+    # --jobs, once per forked worker); a task is one fold of one dataset, and
+    # each worker gets the datasets once
+    loaded = [data for _, data in datasets]
+    with shared_split_trees(), (
+        ProcessPoolExecutor(args.jobs, initializer=_init_worker, initargs=(loaded,))
+        if args.jobs > 1 else nullcontext()
+    ) as pool:
+        for index, (name, data) in enumerate(datasets):
+            map_folds = None if pool is None else partial(pool.map, partial(_worker_folds, index))
+            outcomes = cross_validate_configs(data, configs, folds, name, map_folds=map_folds)
+            for config, outcome in zip(configs, outcomes):
+                if isinstance(outcome, Exception):
+                    failures.append(
+                        f"{name} / {config.label()} (config {config_hash(config)}): {outcome}"
+                    )
+                else:
+                    completed.append(outcome)
 
-    completed = [r for r in reports if r is not None]
     emit_report(completed, out_dir / "results.json", seed, format="json")
     emit_report(completed, out_dir / "results.txt", seed, format="table")
     print(format_comparison_table(completed))
@@ -241,6 +251,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
         raise ValueError("--n-min must be at least 2")
     if args.n_max < args.n_min:
         raise ValueError("--n-max must be >= --n-min")
+    if args.n_step < 1:
+        raise ValueError("--n-step must be at least 1")
     rows = threshold_curve(range(args.n_min, args.n_max + 1, args.n_step), args.n0)
     out = open(args.output, "w", newline="") if args.output else sys.stdout
     try:
@@ -276,14 +288,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classifier", choices=CLASSIFIERS, default="nb")
     p.add_argument("--n0", type=int, default=DEFAULT_N0)
     p.add_argument("--bins", type=int, default=DEFAULT_BINS)
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--folds", type=int, help="default: the manifest's, else 10")
+    p.add_argument("--seed", type=int, help="default: the manifest's, else 0")
     p.add_argument("--labeled-fraction", type=float, default=1.0)
     p.add_argument("--inductive", action="store_true",
                    help="keep test-row features out of scheme derivation")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--missing-token", default=MISSING_TOKEN)
-    p.add_argument("--output-dir", default="results")
+    p.add_argument("--output-dir", help="default: the manifest's, else results")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("train", help="fit and save scheme+model")

@@ -20,9 +20,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import stdtr
@@ -81,6 +82,9 @@ class PipelineError(RuntimeError):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
         self.message = message
+
+    def __reduce__(self):  # a failed fold comes back from a bench worker
+        return type(self), (self.stage, self.message)
 
 
 @dataclass(frozen=True)
@@ -182,6 +186,13 @@ class FittedPipeline:
         )
 
 
+# Stage results of the fold ``run_folds`` is running, keyed by the config
+# fields each stage reads.  Every fit_pipeline call inside run_folds fits that
+# fold's rows; run_fold and fit_pipeline keep their signatures, so they find
+# the results here rather than in an argument.
+_fold_stages: ContextVar[dict | None] = ContextVar("fold_stages", default=None)
+
+
 def fit_pipeline(
     train: Dataset,
     config: PipelineConfig,
@@ -193,25 +204,34 @@ def fit_pipeline(
     ``test`` contributes features only: its categories join the vocabulary,
     and with a transductive pseudo-labeling config its rows join the pool.
     Returns the fitted pipeline and the k chosen for pseudo-labeling (None
-    when nothing was pseudo-labeled).
+    when nothing was pseudo-labeled).  Inside ``run_folds``, a stage that an
+    earlier config computed on the same fold and keys is read back.
     """
     seed = config.seed if seed is None else seed
+    shared = _fold_stages.get()
+    shared = {} if shared is None else shared
+
+    def once(key: tuple, compute):
+        if key not in shared:
+            shared[key] = compute()
+        return shared[key]
+
     stage = "impute"
     try:
         # impute_missing, not fill_missing: the benchmark's trace times the
         # training rows' imputation under that name
-        imp_train = impute_missing(train, train)
-        fill = imputation_values(train)
+        imp_train, fill = once(
+            ("impute",), lambda: (impute_missing(train, train), imputation_values(train))
+        )
         imp_test = None if test is None else fill_missing(test, fill)
 
         stage = "split"
+        split_key = ("split", config.labeled_fraction, seed)
         if config.labeled_fraction < 1.0:
-            split = split_labeled_fraction(
-                np.arange(imp_train.n_rows),
-                imp_train.labels,
-                config.labeled_fraction,
+            split = once(split_key, lambda: split_labeled_fraction(
+                np.arange(imp_train.n_rows), imp_train.labels, config.labeled_fraction,
                 _child_seed(seed, 1),
-            )
+            ))
             labeled = imp_train.subset(split.labeled_rows)
             unlabeled = imp_train.subset(split.unlabeled_rows)
         else:
@@ -220,30 +240,37 @@ def fit_pipeline(
 
         stage = "pseudo-label"
         selected_k = None
+        rows_key = split_key
         # an empty pool leaves the plain supervised path, so the transductive
         # and inductive pipelines coincide when nothing is unlabeled
         parts = [unlabeled, imp_test if config.transductive else None]
         parts = [part for part in parts if part is not None and part.n_rows]
         if config.uses_pseudo_labels and parts:
             pool = concat_rows(parts)
-            selected_k = select_k(labeled, config.k_grid, _child_seed(seed, 2))
-            pseudo = pseudo_label(labeled, pool, KnnConfig(selected_k))
+            selected_k = once(("k", split_key, config.k_grid), lambda: select_k(
+                labeled, config.k_grid, _child_seed(seed, 2)
+            ))
+            rows_key = ("pseudo", split_key, config.transductive, selected_k)
+            pseudo = once(rows_key, lambda: pseudo_label(labeled, pool, KnnConfig(selected_k)))
             scheme_data = concat_rows([labeled, pool])
             scheme_labels = np.concatenate([labeled.labels, pseudo])
         elif config.method in ("eqw", "eqf"):
+            rows_key = ("all",)
             scheme_data, scheme_labels = imp_train, imp_train.labels
         else:
             scheme_data, scheme_labels = labeled, labeled.labels
 
         stage = "discretize"
-        scheme = build_scheme(
+        scheme_key = ("scheme", rows_key, config.method, config.n0, config.bins)
+        scheme = once(scheme_key, lambda: build_scheme(
             scheme_data, scheme_labels, config.method, n0=config.n0, bins=config.bins
-        )
+        ))
         vocab = categorical_vocab([imp_train] if imp_test is None else [imp_train, imp_test])
+        # not kept: a fold would hold one (rows, attrs) table per scheme
         table = encode_discrete(apply_scheme(scheme, labeled), scheme, vocab)
 
         stage = "fit"
-        model = fit_nb(table, labeled.labels)
+        model = once(("model", scheme_key, split_key), lambda: fit_nb(table, labeled.labels))
         opts = TrainOptions(max_iter=config.max_iter, tol=config.tol)
         if config.classifier == "nb":
             params = identity_params(model)
@@ -288,6 +315,33 @@ def run_fold(
         selected_k=selected_k,
         predictions=predictions.tolist(),
     )
+
+
+def run_folds(
+    data: Dataset, train_rows: np.ndarray, test_rows: np.ndarray,
+    configs: Sequence[PipelineConfig], fold: int,
+) -> list[FoldResult | PipelineError]:
+    """``run_fold`` of each config on fold number ``fold``, each stage computed once.
+
+    Configs share a stage when they agree on the fields it reads: imputation
+    per fold; the labeled split per (labeled_fraction, seed); select_k per
+    (split, k_grid) and pseudo_label per (split, transductive, k); the scheme
+    per (scheme rows, method, n0, bins); fit_nb per scheme.  The stage
+    results are dropped on return.  A failed config's PipelineError,
+    with a ``fold N:`` prefix, takes the place of its result.
+    """
+    token = _fold_stages.set({})
+    outcomes: list[FoldResult | PipelineError] = []
+    try:
+        for config in configs:
+            try:
+                seed = _child_seed(config.seed, 7, fold)
+                outcomes.append(run_fold(data, train_rows, test_rows, config, seed=seed))
+            except PipelineError as exc:
+                outcomes.append(PipelineError(exc.stage, f"fold {fold}: {exc.message}"))
+    finally:
+        _fold_stages.reset(token)
+    return outcomes
 
 
 @dataclass
@@ -364,37 +418,67 @@ def cross_validate(
     dataset_name: str = "",
     with_diagnostics: bool = True,
 ) -> EvalReport:
-    """Stratified k-fold evaluation; a fold's PipelineError gains a ``fold N:`` prefix."""
-    if folds < 2:
-        raise ValueError("need at least 2 folds")
-    plan = stratified_folds(data, folds, config.seed)
-    accuracies = []
-    ks = []
-    for fold in range(folds):
+    """Stratified k-fold evaluation of one config; raises what ``cross_validate_configs``
+    would report for it (a fold's PipelineError carries a ``fold N:`` prefix)."""
+    outcome = cross_validate_configs(data, [config], folds, dataset_name, with_diagnostics)[0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def cross_validate_configs(
+    data: Dataset, configs: Sequence[PipelineConfig], folds: int = 10, dataset_name: str = "",
+    with_diagnostics: bool = True, map_folds: Callable[[Iterator], Iterable] | None = None,
+) -> list[EvalReport | Exception]:
+    """Fold-major stratified k-fold evaluation of ``configs`` on one dataset.
+
+    Configs with the same seed share a fold plan; each fold of a plan is one
+    ``run_folds`` task ``(train_rows, test_rows, configs, fold)``.
+    ``map_folds`` runs the tasks and yields their outcomes in order (default:
+    one after another in this process).  Whole-data diagnostics are built
+    once per (method, n0, bins).  Each config gets its report, or the error
+    of its fold plan, of its first failing fold, or of its diagnostics.
+    """
+    groups: dict[int, list[PipelineConfig]] = {}
+    for config in dict.fromkeys(configs):
+        groups.setdefault(config.seed, []).append(config)
+    failed: dict[PipelineConfig, Exception] = {}
+    plans = []
+    for seed, group in groups.items():
         try:
-            result = run_fold(
-                data,
-                plan.train_rows(fold),
-                plan.test_rows(fold),
-                config,
-                seed=_child_seed(config.seed, 7, fold),
-            )
-        except PipelineError as exc:
-            raise PipelineError(exc.stage, f"fold {fold}: {exc.message}") from exc
-        accuracies.append(result.accuracy)
-        ks.append(result.selected_k)
+            plan = stratified_folds(data, folds, seed)
+        except ValueError as exc:
+            failed.update(dict.fromkeys(group, exc))
+            continue
+        plans += [(plan, group, f) for f in range(folds)]
 
-    diag = None
-    if with_diagnostics:
-        _, diag = whole_data_diagnostics(data, config.method, config.n0, config.bins)
+    # row indices are made as the tasks run; of a fold's results only
+    # (accuracy, selected k) is kept
+    tasks = ((plan.train_rows(f), plan.test_rows(f), group, f) for plan, group, f in plans)
+    done = map_folds(tasks) if map_folds else (run_folds(data, *task) for task in tasks)
+    results: dict[PipelineConfig, list[tuple]] = {config: [] for config in configs}
+    for (_, group, _), outcomes in zip(plans, done):
+        for config, outcome in zip(group, outcomes):
+            if isinstance(outcome, PipelineError):
+                failed.setdefault(config, outcome)
+            else:
+                results[config].append((outcome.accuracy, outcome.selected_k))
 
-    return EvalReport(
-        dataset=dataset_name,
-        config=config,
-        fold_accuracies=accuracies,
-        selected_k=ks,
-        diagnostics=diag,
-    )
+    diagnostics: dict[tuple, DiagnosticsTable | Exception] = {}
+    reports: list[EvalReport | Exception] = []
+    for config in configs:
+        key = (config.method, config.n0, config.bins)
+        if with_diagnostics and config not in failed and key not in diagnostics:
+            try:
+                diagnostics[key] = whole_data_diagnostics(data, *key)[1]
+            except Exception as exc:  # noqa: BLE001 - reported as this config's outcome
+                diagnostics[key] = exc
+        outcome = failed.get(config) or diagnostics.get(key)  # an error, a table or None
+        if not isinstance(outcome, Exception):
+            accuracies, ks = map(list, zip(*results[config]))
+            outcome = EvalReport(dataset_name, config, accuracies, ks, outcome)
+        reports.append(outcome)
+    return reports
 
 
 @dataclass(frozen=True)
@@ -536,12 +620,8 @@ def emit_report(
             json.dumps(results_document(reports, seed), indent=2, sort_keys=True) + "\n"
         )
     elif format == "table":
-        seen: list[PipelineConfig] = []
-        for r in reports:
-            if r.config not in seen:
-                seen.append(r.config)
-        header = [f"# seed: {seed}"]
-        header += [f"# config {config_hash(c)}: {c.label()}" for c in seen]
+        configs = dict.fromkeys(r.config for r in reports)
+        header = [f"# seed: {seed}"] + [f"# config {config_hash(c)}: {c.label()}" for c in configs]
         Path(path).write_text("\n".join(header) + "\n" + format_comparison_table(reports) + "\n")
     else:
         raise ValueError(f"unknown report format {format!r}")
@@ -554,13 +634,8 @@ def load_results(path: str | Path) -> dict:
 def format_comparison_table(reports: Sequence[EvalReport]) -> str:
     """Aligned accuracy table; a bullet marks configurations the first
     (candidate) configuration significantly outperforms."""
-    datasets: list[str] = []
-    configs: list[PipelineConfig] = []
-    for r in reports:
-        if r.dataset not in datasets:
-            datasets.append(r.dataset)
-        if r.config not in configs:
-            configs.append(r.config)
+    datasets = list(dict.fromkeys(r.dataset for r in reports))
+    configs = list(dict.fromkeys(r.config for r in reports))
     by_key = {(r.dataset, r.config): r for r in reports}
 
     header = ["dataset"] + [c.label() for c in configs]

@@ -195,11 +195,20 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
 
 def _posteriors(
     model: NbModel, W: np.ndarray, w: np.ndarray, alpha: float, loglik: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Blended, class-specific and class-shared posteriors for every row of ``loglik``."""
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Blended, class-specific and class-shared posteriors for every row of ``loglik``.
+
+    At alpha exactly 0 (1) the blend is the shared (class-specific) posterior
+    itself, so the other branch is not computed and comes back as None.
+    """
     logprior = np.log(model.priors)
-    p_class = _softmax(logprior[None, :] + np.einsum("icj,cj->ic", loglik, W))
-    p_shared = _softmax(logprior[None, :] + np.einsum("icj,j->ic", loglik, w))
+    p_class = p_shared = None
+    if alpha != 0.0:
+        p_class = _softmax(logprior[None, :] + np.einsum("icj,cj->ic", loglik, W))
+    if alpha != 1.0:
+        p_shared = _softmax(logprior[None, :] + np.einsum("icj,j->ic", loglik, w))
+    if p_class is None or p_shared is None:
+        return (p_shared if p_class is None else p_class), p_class, p_shared
     return alpha * p_class + (1 - alpha) * p_shared, p_class, p_shared
 
 
@@ -264,18 +273,23 @@ def _loss(blended: np.ndarray, target: np.ndarray) -> float:
 
 def _grad(
     loglik: np.ndarray, target: np.ndarray, alpha: float,
-    blended: np.ndarray, p_class: np.ndarray, p_shared: np.ndarray,
+    blended: np.ndarray, p_class: np.ndarray | None, p_shared: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Gradient of ``_loss`` w.r.t. (W, w, a) at the point whose posteriors are given."""
+    """Gradient of ``_loss`` w.r.t. (W, w, a) at the point whose posteriors are given.
+
+    A branch that ``_posteriors`` skipped has weight 0 in the blend, so its
+    exponents and ``a`` get a zero gradient.
+    """
     residual = 2.0 * (blended - target) / len(loglik)
-
-    row_dot = (residual * p_class).sum(axis=1, keepdims=True)
-    grad_W = alpha * np.einsum("ic,icj->cj", p_class * (residual - row_dot), loglik)
-
-    row_dot = (residual * p_shared).sum(axis=1, keepdims=True)
-    grad_w = (1 - alpha) * np.einsum("ic,icj->j", p_shared * (residual - row_dot), loglik)
-
-    grad_a = alpha * (1 - alpha) * float((residual * (p_class - p_shared)).sum())
+    grad_W, grad_w, grad_a = np.zeros(loglik.shape[1:]), np.zeros(loglik.shape[2]), 0.0
+    if p_class is not None:
+        row_dot = (residual * p_class).sum(axis=1, keepdims=True)
+        grad_W = alpha * np.einsum("ic,icj->cj", p_class * (residual - row_dot), loglik)
+    if p_shared is not None:
+        row_dot = (residual * p_shared).sum(axis=1, keepdims=True)
+        grad_w = (1 - alpha) * np.einsum("ic,icj->j", p_shared * (residual - row_dot), loglik)
+    if p_class is not None and p_shared is not None:
+        grad_a = alpha * (1 - alpha) * float((residual * (p_class - p_shared)).sum())
     return grad_W, grad_w, grad_a
 
 
@@ -337,7 +351,8 @@ def _train(
     """Gradient descent from all-one exponents.
 
     ``rnb`` fits W, w and alpha; ``wanbia`` fits only w and ``cawnb`` only
-    W, with alpha fixed so that the untrained exponents drop out.
+    W: alpha is pinned at 0 or 1, so the untrained branch is never computed
+    and its exponents get a zero gradient.
     """
     model = fit_nb(table, labels) if model is None else model
     if model.n_classes < 2:
@@ -358,10 +373,6 @@ def _train(
 
     for _ in range(opts.max_iter):
         grad_W, grad_w, grad_a = _grad(loglik, target, alpha, *post)
-        if variant == "wanbia":
-            grad_W, grad_a = np.zeros_like(grad_W), 0.0
-        elif variant == "cawnb":
-            grad_w, grad_a = np.zeros_like(grad_w), 0.0
         grad_sq = float((grad_W**2).sum() + (grad_w**2).sum() + grad_a**2)
         if grad_sq == 0.0 or not math.isfinite(grad_sq):
             break

@@ -162,6 +162,37 @@ def brute_force_knn(ref, ref_labels, query, k):
     return classes[votes.index(max(votes))]
 
 
+def two_branch_posteriors(model, W, w, alpha, loglik):
+    """Blended, class-specific and class-shared posteriors, both branches always computed.
+
+    ``alpha * P_W + (1 - alpha) * P_w`` with each softmax written out, in the
+    same order of floating-point operations as the trainer's forward pass.
+    """
+
+    def softmax(scores):
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    logprior = np.log(model.priors)
+    p_class = softmax(logprior[None, :] + np.einsum("icj,cj->ic", loglik, W))
+    p_shared = softmax(logprior[None, :] + np.einsum("icj,j->ic", loglik, w))
+    return alpha * p_class + (1 - alpha) * p_shared, p_class, p_shared
+
+
+def two_branch_grad(loglik, target, alpha, blended, p_class, p_shared):
+    """Gradient of the mean squared error w.r.t. (W, w, a) from both branches.
+
+    A branch with blend weight 0 contributes ``0 * (...)``, a signed zero.
+    """
+    residual = 2.0 * (blended - target) / len(loglik)
+    row_dot = (residual * p_class).sum(axis=1, keepdims=True)
+    grad_W = alpha * np.einsum("ic,icj->cj", p_class * (residual - row_dot), loglik)
+    row_dot = (residual * p_shared).sum(axis=1, keepdims=True)
+    grad_w = (1 - alpha) * np.einsum("ic,icj->j", p_shared * (residual - row_dot), loglik)
+    grad_a = alpha * (1 - alpha) * float((residual * (p_class - p_shared)).sum())
+    return grad_W, grad_w, grad_a
+
+
 def reference_train(table, labels, variant, opts):
     """Exponent training written only from the public objective and gradient.
 

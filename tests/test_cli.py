@@ -101,6 +101,13 @@ class TestCurveCommand:
         assert main(["curve", "--n-min", "1"]) == 2
         assert main(["curve", "--n-min", "10", "--n-max", "5"]) == 2
 
+    @pytest.mark.parametrize("step", ["0", "-1"])
+    def test_n_step_below_one_rejected(self, step, capsys):
+        assert main(["curve", "--n-max", "10", "--n-step", step]) == 2
+        captured = capsys.readouterr()
+        assert "--n-step must be at least 1" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("n0", ["0", "-1000"])
     def test_n0_below_one_rejected(self, n0, capsys):
         assert main(["curve", "--n0", "100", n0, "--n-max", "10"]) == 2
@@ -341,6 +348,92 @@ class TestBenchCommand:
         serial = (tmp_path / "out" / "results.json").read_bytes()
         assert main(["bench", str(manifest), "--jobs", "2"]) == 0
         assert (tmp_path / "out" / "results.json").read_bytes() == serial
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, jobs, iris_path, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, iris_path, [{"method": "mdlp", "classifier": "nb"}])
+        assert main(["bench", str(manifest), "--jobs", jobs]) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_flags_override_the_manifest(self, iris_path, tmp_path):
+        # the manifest sets seed 0, 10 folds and output_dir out/
+        manifest = write_manifest(tmp_path, iris_path, [{"method": "mdlp", "classifier": "nb"}])
+        out = tmp_path / "out_x"
+        assert main(["bench", str(manifest), "--output-dir", str(out)]) == 0
+        assert (out / "results.json").exists()
+        assert not (tmp_path / "out").exists()
+
+        assert main(["bench", str(manifest), "--output-dir", str(out), "--seed", "5"]) == 0
+        run = json.loads((out / "results.json").read_text())["runs"][0]
+        assert run["config"]["seed"] == 5 and run["folds"] == 10
+
+        assert main(["bench", str(manifest), "--output-dir", str(out), "--folds", "3"]) == 0
+        results = json.loads((out / "results.json").read_text())
+        assert results["seed"] == 0 and results["runs"][0]["folds"] == 3
+
+    def test_manifest_values_win_over_flag_defaults(self, iris_path, tmp_path):
+        manifest = write_manifest(
+            tmp_path, iris_path, [{"method": "mdlp", "classifier": "nb"}], seed=4, folds=3
+        )
+        assert main(["bench", str(manifest)]) == 0
+        results = json.loads((tmp_path / "out" / "results.json").read_text())
+        assert results["seed"] == 4 and results["runs"][0]["folds"] == 3
+
+    @pytest.mark.parametrize(
+        "datasets, configs",
+        [
+            (
+                ["iris"],
+                [
+                    # three configs share imputation, k-NN, scheme and fit_nb
+                    {"method": "sadd", "classifier": "nb"},
+                    {"method": "sadd", "classifier": "wanbia", "max_iter": 5},
+                    {"method": "sadd", "classifier": "rnb", "max_iter": 5, "labeled_fraction": 0.5},
+                    # shares only imputation
+                    {"method": "eqw", "classifier": "cawnb", "max_iter": 5},
+                    # a second fold plan
+                    {"method": "mdlp", "classifier": "nb", "seed": 1},
+                    {"method": "sadd", "classifier": "nb", "pseudo_label": False, "seed": 1},
+                    # fails on every fold at the pseudo-label stage
+                    {"method": "sadd", "classifier": "nb", "labeled_fraction": 0.05},
+                ],
+            ),
+            (
+                ["iris", "toy"],
+                [
+                    {"method": "mdlp", "classifier": "nb"},
+                    {"method": "mdlp", "classifier": "wanbia", "max_iter": 5},
+                    # fails on toy's folds (too few labeled rows), runs on iris
+                    {"method": "sadd", "classifier": "nb", "labeled_fraction": 0.5,
+                     "transductive": False},
+                    {"method": "eqf", "classifier": "nb", "seed": 2},
+                ],
+            ),
+        ],
+    )
+    def test_outputs_do_not_depend_on_jobs(
+        self, datasets, configs, iris_path, toy_mixed_path, tmp_path, capsys
+    ):
+        paths = {"iris": iris_path, "toy": toy_mixed_path}
+        manifest = write_manifest(tmp_path, iris_path, configs, folds=3)
+        doc = json.loads(manifest.read_text())
+        doc["datasets"] = [{"name": name, "path": str(paths[name])} for name in datasets]
+        manifest.write_text(json.dumps(doc))
+        seen = []
+        for jobs in ("1", "2", "3"):
+            code = main(["bench", str(manifest), "--jobs", jobs])
+            captured = capsys.readouterr()
+            out = tmp_path / "out"
+            seen.append((
+                code,
+                (out / "results.json").read_bytes(),
+                (out / "results.txt").read_bytes(),
+                captured.out,
+                captured.err,
+            ))
+        assert seen[0][0] == 1 and "failed: " in seen[0][4]
+        assert seen[1] == seen[0] and seen[2] == seen[0]
 
     def test_configs_on_the_same_rows_share_split_nodes(self, iris_path, tmp_path, monkeypatch):
         calls = count_node_evaluations(monkeypatch)

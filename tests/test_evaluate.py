@@ -9,6 +9,7 @@ from scipy import stats as scipy_stats
 
 from helpers import make_dataset
 
+import nbdisc.evaluate as evaluate_module
 from nbdisc.data import stratified_folds
 from nbdisc.evaluate import (
     EvalReport,
@@ -19,6 +20,7 @@ from nbdisc.evaluate import (
     config_hash,
     config_to_dict,
     cross_validate,
+    cross_validate_configs,
     diagnostics_table,
     emit_report,
     fit_pipeline,
@@ -29,6 +31,7 @@ from nbdisc.evaluate import (
     report_to_dict,
     results_document,
     run_fold,
+    run_folds,
 )
 from nbdisc.discretize import apply_scheme, build_scheme
 
@@ -272,6 +275,116 @@ class TestCrossValidate:
         with pytest.raises(PipelineError, match=message) as info:
             cross_validate(iris, config)
         assert info.value.stage == "pseudo-label"
+
+
+def count_calls(monkeypatch, *names):
+    """Patch the named evaluate-module functions; return a name -> call count dict."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(evaluate_module, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate_module, name, counting)
+    return calls
+
+
+class TestFoldMajor:
+    MIXED = [
+        PipelineConfig(method="sadd", classifier="nb"),
+        PipelineConfig(method="sadd", classifier="rnb", max_iter=5),
+        PipelineConfig(method="sadd", classifier="wanbia", max_iter=5, labeled_fraction=0.4),
+        PipelineConfig(method="sadd", classifier="nb", labeled_fraction=0.4, transductive=False),
+        PipelineConfig(method="mdlp", classifier="cawnb", max_iter=5, labeled_fraction=0.4),
+        PipelineConfig(method="eqf", classifier="nb", labeled_fraction=0.4),
+        PipelineConfig(method="eqf", classifier="nb", bins=4, seed=2),
+        PipelineConfig(method="sadd", classifier="nb", pseudo_label=False, seed=2),
+        PipelineConfig(method="sadd", classifier="nb", labeled_fraction=0.05),  # fails
+        # four schemes on the same rows: the method, n0 and bins tell them apart
+        PipelineConfig(method="mdlp", classifier="nb"),
+        PipelineConfig(method="sadd", classifier="nb", pseudo_label=False),
+        PipelineConfig(method="sadd", classifier="nb", pseudo_label=False, n0=40),
+        PipelineConfig(method="eqf", classifier="nb"),
+        PipelineConfig(method="eqf", classifier="nb", bins=3),
+        PipelineConfig(method="eqw", classifier="nb", bins=3),
+    ]
+
+    def test_shared_stages_give_the_one_config_results(self, iris):
+        together = cross_validate_configs(iris, self.MIXED + self.MIXED[:1], 4, "iris")
+        assert report_to_dict(together[-1]) == report_to_dict(together[0])  # a repeated config
+        for config, outcome in zip(self.MIXED, together):
+            try:
+                alone = cross_validate(iris, config, 4, "iris")
+            except PipelineError as exc:
+                assert isinstance(outcome, PipelineError) and str(outcome) == str(exc)
+                assert outcome.stage == exc.stage
+                continue
+            assert report_to_dict(outcome) == report_to_dict(alone)
+
+    def test_each_stage_runs_once_per_fold_and_key(self, iris, monkeypatch):
+        calls = count_calls(
+            monkeypatch, "impute_missing", "split_labeled_fraction", "select_k",
+            "pseudo_label", "build_scheme", "fit_nb",
+        )
+        same_front_end = [
+            PipelineConfig(method="sadd", classifier=c, max_iter=3)
+            for c in ("nb", "wanbia", "cawnb", "rnb")
+        ]
+        cross_validate_configs(iris, same_front_end, 3, with_diagnostics=False)
+        assert calls == {
+            "impute_missing": 3, "split_labeled_fraction": 0, "select_k": 3,
+            "pseudo_label": 3, "build_scheme": 3, "fit_nb": 3,
+        }
+
+        calls.update(dict.fromkeys(calls, 0))
+        partial = [
+            PipelineConfig(method="sadd", labeled_fraction=0.5),
+            PipelineConfig(method="sadd", labeled_fraction=0.5, transductive=False),
+            PipelineConfig(method="mdlp", labeled_fraction=0.5),
+            PipelineConfig(method="eqf", labeled_fraction=0.5),
+            PipelineConfig(method="eqf", labeled_fraction=0.5, classifier="wanbia", max_iter=3),
+            PipelineConfig(method="eqf", classifier="wanbia", max_iter=3),
+        ]
+        cross_validate_configs(iris, partial, 3, with_diagnostics=False)
+        # per fold: one split; one k for both sadd pools, one pool per
+        # transductive flag; sadd x 2 pools + mdlp + one eqf scheme; the eqf
+        # models on the two labeled sets differ
+        assert calls == {
+            "impute_missing": 3, "split_labeled_fraction": 3, "select_k": 3,
+            "pseudo_label": 6, "build_scheme": 12, "fit_nb": 15,
+        }
+
+    def test_diagnostics_once_per_method_n0_and_bins(self, iris, monkeypatch):
+        calls = count_calls(monkeypatch, "whole_data_diagnostics")
+        configs = [
+            PipelineConfig(method="mdlp", classifier=c, max_iter=3)
+            for c in ("nb", "wanbia", "cawnb")
+        ] + [PipelineConfig(method="mdlp", n0=7), PipelineConfig(method="eqw", seed=1)]
+        reports = cross_validate_configs(iris, configs, 3)
+        assert calls["whole_data_diagnostics"] == 3
+        assert reports[0].diagnostics is reports[2].diagnostics
+
+    def test_nothing_is_shared_outside_a_fold(self, iris, monkeypatch):
+        calls = count_calls(monkeypatch, "build_scheme")
+        plan = stratified_folds(iris, 3, seed=0)
+        config = PipelineConfig(method="mdlp")
+        for _ in range(2):
+            run_fold(iris, plan.train_rows(0), plan.test_rows(0), config)
+        assert calls["build_scheme"] == 2
+        for fold in (0, 0, 1):
+            run_folds(iris, plan.train_rows(fold), plan.test_rows(fold), [config] * 2, fold)
+        assert calls["build_scheme"] == 5
+        assert evaluate_module._fold_stages.get() is None
+
+    def test_failed_fold_is_prefixed_and_others_still_run(self, iris):
+        plan = stratified_folds(iris, 3, seed=0)
+        configs = [PipelineConfig(method="sadd", labeled_fraction=0.05), PipelineConfig()]
+        failed, ok = run_folds(iris, plan.train_rows(2), plan.test_rows(2), configs, 2)
+        assert isinstance(failed, PipelineError) and failed.stage == "pseudo-label"
+        assert str(failed).startswith("[pseudo-label] fold 2: need at least 9")
+        assert ok.accuracy > 0.8
 
 
 class TestPipelineFuzz:

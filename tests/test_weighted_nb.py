@@ -6,7 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_force_nb_posterior, make_dataset, reference_train
+from hypothesis import given
+from hypothesis import strategies as st
+
+from helpers import (
+    brute_force_nb_posterior,
+    make_dataset,
+    reference_train,
+    two_branch_grad,
+    two_branch_posteriors,
+)
 
 from nbdisc.data import impute_missing
 from nbdisc.discretize import apply_scheme, build_scheme
@@ -14,7 +23,11 @@ from nbdisc.weighted_nb import (
     DiscreteTable,
     TrainOptions,
     WeightedParams,
+    _grad,
+    _log_likelihoods,
+    _posteriors,
     _softmax,
+    _targets,
     categorical_vocab,
     encode_discrete,
     fit_nb,
@@ -171,6 +184,47 @@ class TestPosteriorBlend:
     def test_alpha_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="alpha"):
             WeightedParams(np.ones((2, 1)), np.ones(1), 1.5)
+
+
+class TestOneBranchKernel:
+    """At alpha 0 or 1 only the live branch is computed; the results must be
+    the always-two-branch oracle's, bit for bit."""
+
+    @given(
+        n_classes=st.integers(2, 9),
+        alpha=st.sampled_from([0.0, 1.0, 0.37]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_two_branch_oracle(self, n_classes, alpha, seed):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(n_classes, 40)), int(rng.integers(1, 6))
+        arity = rng.integers(1, 5, m)
+        codes = rng.integers(0, n_classes, n)
+        codes[:n_classes] = np.arange(n_classes)  # every class occurs
+        labels = [f"c{c}" for c in codes]
+        table = table_from(rng.integers(0, arity, (n, m)), arity)
+        model = fit_nb(table, labels)
+        W, w = rng.normal(1.0, 0.7, (n_classes, m)), rng.normal(1.0, 0.7, m)
+        loglik = _log_likelihoods(model, table.x)
+
+        post = _posteriors(model, W, w, alpha, loglik)
+        oracle = two_branch_posteriors(model, W, w, alpha, loglik)
+        batch = posterior_batch(model, WeightedParams(W, w, alpha), table.x)
+        assert post[0].tobytes() == oracle[0].tobytes() == batch.tobytes()
+        grad = _grad(loglik, _targets(model, labels), alpha, *post)
+        oracle_grad = two_branch_grad(loglik, _targets(model, labels), alpha, *oracle)
+        # index 0: class-specific branch and W; index 1: shared branch and w
+        live = {0.0: [1], 1.0: [0]}.get(alpha, [0, 1])
+        for i in (0, 1):
+            if i in live:
+                assert post[i + 1].tobytes() == oracle[i + 1].tobytes()
+                assert grad[i].tobytes() == oracle_grad[i].tobytes()
+            else:
+                assert post[i + 1] is None
+                assert not grad[i].any() and not oracle_grad[i].any()  # +0 vs a signed 0
+        assert grad[2] == oracle_grad[2]
+        if len(live) == 1:
+            assert grad[2] == 0.0
 
 
 class TestObjective:
