@@ -36,14 +36,7 @@ from functools import partial
 from pathlib import Path
 
 from .data import AttributeKind, Dataset, MISSING_TOKEN, load_csv, load_schema
-from .discretize import (
-    DEFAULT_BINS,
-    DEFAULT_N0,
-    METHODS,
-    save_scheme,
-    shared_split_trees,
-    threshold_curve,
-)
+from .discretize import DEFAULT_BINS, DEFAULT_N0, METHODS, save_scheme, threshold_curve
 from .evaluate import (
     CLASSIFIERS,
     EvalReport,
@@ -117,6 +110,8 @@ def _manifest_from_args(args: argparse.Namespace) -> dict:
     for key, flag, default in (("seed", args.seed, 0), ("folds", args.folds, 10),
                                ("output_dir", args.output_dir, "results")):
         manifest[key] = manifest.get(key, default) if flag is None else flag
+    if int(manifest["folds"]) < 2:
+        raise ValueError("folds must be at least 2")
     return manifest
 
 
@@ -137,6 +132,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     manifest = _manifest_from_args(args)
     seed = int(manifest["seed"])
     folds = int(manifest["folds"])
+    configs = [config_from_dict({"seed": seed, **doc}) for doc in manifest["configs"]]
     out_dir = Path(manifest["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -149,18 +145,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
             failures.append(f"{entry['name']}: {exc}")
             continue
         datasets.append((entry["name"], data))
-    configs = []
-    for doc in manifest["configs"]:
-        doc = dict(doc)
-        doc.setdefault("seed", seed)
-        configs.append(config_from_dict(doc))
 
     completed: list[EvalReport] = []
-    # configs that read the same rows evaluate each split node once (under
-    # --jobs, once per forked worker); a task is one fold of one dataset, and
-    # each worker gets the datasets once
+    # a task is one fold of one dataset, and each worker gets the datasets once
     loaded = [data for _, data in datasets]
-    with shared_split_trees(), (
+    with (
         ProcessPoolExecutor(args.jobs, initializer=_init_worker, initargs=(loaded,))
         if args.jobs > 1 else nullcontext()
     ) as pool:
@@ -234,15 +223,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
     fitted = FittedPipeline.from_dict(doc)
     predictions, posteriors = fitted.predict(data)
 
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
-    try:
+    with (open(args.output, "w", newline="") if args.output else nullcontext(sys.stdout)) as out:
         writer = csv.writer(out)
         writer.writerow(["predicted"] + [f"p_{c}" for c in fitted.model.classes])
         for label, row in zip(predictions, posteriors):
             writer.writerow([label] + [repr(float(p)) for p in row])
-    finally:
-        if args.output:
-            out.close()
     return 0
 
 
@@ -254,15 +239,11 @@ def cmd_curve(args: argparse.Namespace) -> int:
     if args.n_step < 1:
         raise ValueError("--n-step must be at least 1")
     rows = threshold_curve(range(args.n_min, args.n_max + 1, args.n_step), args.n0)
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
-    try:
+    with (open(args.output, "w", newline="") if args.output else nullcontext(sys.stdout)) as out:
         writer = csv.writer(out)
         writer.writerow(["n", "raw"] + [f"n0_{n0}" for n0 in args.n0])
         for row in rows:
             writer.writerow([row.n, repr(row.raw)] + [repr(v) for v in row.scaled])
-    finally:
-        if args.output:
-            out.close()
     return 0
 
 

@@ -25,24 +25,20 @@ the same expressions as a fresh recursion, and every rule's cuts stay
 bit-identical.  A walk evaluates only the nodes its own rule visits, and a
 walk whose nodes are all recorded skips the sort.
 
-Outside a ``shared_split_trees()`` block each call starts an empty table, so
-nothing is kept.  Inside one, tables are kept for the whole block under a
-128-bit blake2b digest of the float64 column bytes and the ``intp`` code
-bytes; ``nbdisc bench`` opens one per command, so ``sadd`` and ``mdlp``
-configs on the same rows evaluate each node once.  Only node records are
-kept (no sorted values or prefix counts): a few kilobytes per attribute.
+A call without a table starts an empty one, so nothing is kept.  The caller
+that owns the rows may pass one table per attribute (``build_scheme``'s
+``nodes``) to every call on them, so ``sadd`` and ``mdlp`` on the same rows
+evaluate each node once.  Only node records are kept (no sorted values or
+prefix counts): a few kilobytes per attribute.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -211,37 +207,6 @@ def _mdlp_threshold(parent: np.ndarray, left: np.ndarray, right: np.ndarray) -> 
 _Node = tuple[int, float, float, float]
 _NodeTable = dict[tuple[int, int], _Node | None]
 
-# digest of (column, codes) -> node table, set inside shared_split_trees()
-_shared_tables: ContextVar[dict[bytes, _NodeTable] | None] = ContextVar(
-    "shared_split_tables", default=None
-)
-
-
-@contextmanager
-def shared_split_trees() -> Iterator[None]:
-    """Keep every partitioned input's node table until the block ends.
-
-    Cuts are the same inside and outside the block; inside it, a node that
-    an earlier call on the same column and class codes evaluated is read
-    back instead of evaluated again.  Nested blocks share the outer tables.
-    """
-    token = None if _shared_tables.get() is not None else _shared_tables.set({})
-    try:
-        yield
-    finally:
-        if token is not None:
-            _shared_tables.reset(token)
-
-
-def _node_table(values: np.ndarray, codes: np.ndarray) -> _NodeTable:
-    tables = _shared_tables.get()
-    if tables is None:
-        return {}
-    h = hashlib.blake2b(digest_size=16)
-    h.update(np.ascontiguousarray(values, dtype=np.float64))
-    h.update(np.ascontiguousarray(codes, dtype=np.intp))
-    return tables.setdefault(h.digest(), {})
-
 
 def _evaluate_node(
     sorted_values: np.ndarray, prefix: np.ndarray, lo: int, hi: int
@@ -255,14 +220,20 @@ def _evaluate_node(
     return pos, float(sorted_values[pos]), gain, _mdlp_threshold(parent, left, parent - left)
 
 
-def _partition(values: np.ndarray, codes: np.ndarray, n0: int | None) -> list[float]:
-    """Top-down splitting of ``values`` by class ``codes``; ``n0 is None``: plain threshold."""
+def _partition(
+    values: np.ndarray, codes: np.ndarray, n0: int | None, table: _NodeTable | None = None
+) -> list[float]:
+    """Top-down splitting of ``values`` by class ``codes``; ``n0 is None``: plain threshold.
+
+    ``table`` holds the node records of earlier calls on the same values and
+    codes, and gains this call's; None starts an empty one.
+    """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("cannot partition an empty attribute")
     if np.isnan(values).any():
         raise ValueError("attribute has missing values; impute first")
-    table = _node_table(values, codes)
+    table = {} if table is None else table
     sorted_values = prefix = None
 
     cuts: list[float] = []
@@ -403,8 +374,13 @@ def build_scheme(
     *,
     n0: int = DEFAULT_N0,
     bins: int = DEFAULT_BINS,
+    nodes: dict[int, _NodeTable] | None = None,
 ) -> DiscretizationScheme:
-    """Run the chosen partitioner on every numeric attribute of ``data``."""
+    """Run the chosen partitioner on every numeric attribute of ``data``.
+
+    ``nodes`` maps an attribute index to its node table; pass one dict to
+    every call on the same rows and labels to evaluate each node once.
+    """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "sadd" and n0 < 1:
@@ -428,7 +404,8 @@ def build_scheme(
         elif method == "eqf":
             cuts.append(np.asarray(equal_frequency(col, bins)))
         else:
-            cuts.append(np.asarray(_partition(col, codes, n0 if method == "sadd" else None)))
+            table = None if nodes is None else nodes.setdefault(j, {})
+            cuts.append(np.asarray(_partition(col, codes, n0 if method == "sadd" else None, table)))
     params = {"sadd": {"n0": n0}, "eqw": {"bins": bins}, "eqf": {"bins": bins}}.get(method, {})
     return DiscretizationScheme(
         method=method, params=params, names=list(data.names), kinds=list(data.kinds), cuts=cuts

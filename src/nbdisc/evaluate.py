@@ -263,7 +263,8 @@ def fit_pipeline(
         stage = "discretize"
         scheme_key = ("scheme", rows_key, config.method, config.n0, config.bins)
         scheme = once(scheme_key, lambda: build_scheme(
-            scheme_data, scheme_labels, config.method, n0=config.n0, bins=config.bins
+            scheme_data, scheme_labels, config.method, n0=config.n0, bins=config.bins,
+            nodes=once(("nodes", rows_key), dict),
         ))
         vocab = categorical_vocab([imp_train] if imp_test is None else [imp_train, imp_test])
         # not kept: a fold would hold one (rows, attrs) table per scheme
@@ -325,10 +326,10 @@ def run_folds(
 
     Configs share a stage when they agree on the fields it reads: imputation
     per fold; the labeled split per (labeled_fraction, seed); select_k per
-    (split, k_grid) and pseudo_label per (split, transductive, k); the scheme
-    per (scheme rows, method, n0, bins); fit_nb per scheme.  The stage
-    results are dropped on return.  A failed config's PipelineError,
-    with a ``fold N:`` prefix, takes the place of its result.
+    (split, k_grid) and pseudo_label per (split, transductive, k); split nodes
+    per scheme rows; the scheme per (scheme rows, method, n0, bins); fit_nb
+    per scheme.  The stage results are dropped on return.  A failed config's
+    PipelineError, with a ``fold N:`` prefix, takes the place of its result.
     """
     token = _fold_stages.set({})
     outcomes: list[FoldResult | PipelineError] = []
@@ -403,11 +404,15 @@ class EvalReport:
 
 
 def whole_data_diagnostics(
-    data: Dataset, method: str, n0: int = DEFAULT_N0, bins: int = DEFAULT_BINS
+    data: Dataset, method: str, n0: int = DEFAULT_N0, bins: int = DEFAULT_BINS,
+    nodes: dict | None = None,
 ) -> tuple[DiscretizationScheme, DiagnosticsTable]:
-    """Scheme built on all rows (self-imputed) and its diagnostics table."""
+    """Scheme built on all rows (self-imputed) and its diagnostics table.
+
+    ``nodes`` is ``build_scheme``'s: split nodes shared by calls on ``data``.
+    """
     imputed = impute_missing(data, data)
-    scheme = build_scheme(imputed, None, method, n0=n0, bins=bins)
+    scheme = build_scheme(imputed, None, method, n0=n0, bins=bins, nodes=nodes)
     return scheme, diagnostics_table(scheme, apply_scheme(scheme, imputed), imputed.labels)
 
 
@@ -436,8 +441,9 @@ def cross_validate_configs(
     ``run_folds`` task ``(train_rows, test_rows, configs, fold)``.
     ``map_folds`` runs the tasks and yields their outcomes in order (default:
     one after another in this process).  Whole-data diagnostics are built
-    once per (method, n0, bins).  Each config gets its report, or the error
-    of its fold plan, of its first failing fold, or of its diagnostics.
+    once per (method, n0, bins), on split nodes kept for this call.  Each
+    config gets its report, or the error of its fold plan, of its first
+    failing fold, or of its diagnostics.
     """
     groups: dict[int, list[PipelineConfig]] = {}
     for config in dict.fromkeys(configs):
@@ -465,12 +471,13 @@ def cross_validate_configs(
                 results[config].append((outcome.accuracy, outcome.selected_k))
 
     diagnostics: dict[tuple, DiagnosticsTable | Exception] = {}
+    nodes: dict = {}
     reports: list[EvalReport | Exception] = []
     for config in configs:
         key = (config.method, config.n0, config.bins)
         if with_diagnostics and config not in failed and key not in diagnostics:
             try:
-                diagnostics[key] = whole_data_diagnostics(data, *key)[1]
+                diagnostics[key] = whole_data_diagnostics(data, *key, nodes=nodes)[1]
             except Exception as exc:  # noqa: BLE001 - reported as this config's outcome
                 diagnostics[key] = exc
         outcome = failed.get(config) or diagnostics.get(key)  # an error, a table or None

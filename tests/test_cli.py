@@ -356,6 +356,24 @@ class TestBenchCommand:
         assert "--jobs must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_bad_config_leaves_no_output_directory(self, iris_path, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, iris_path, [{"method": "mdlp", "clasifier": "nb"}])
+        assert main(["bench", str(manifest)]) == 2
+        assert "unknown config fields" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flags, extra", [(["--folds", "1"], {}), (["--folds", "0"], {}), ([], {"folds": 1})]
+    )
+    def test_folds_below_two_rejected(self, flags, extra, iris_path, tmp_path, capsys, monkeypatch):
+        loads = []
+        monkeypatch.setattr("nbdisc.cli._load_dataset", lambda *args: loads.append(args))
+        configs = [{"method": "mdlp", "classifier": "nb"}]
+        manifest = write_manifest(tmp_path, iris_path, configs, **extra)
+        assert main(["bench", str(manifest), *flags]) == 2
+        assert capsys.readouterr().err == "error: folds must be at least 2\n"
+        assert not loads and not (tmp_path / "out").exists()
+
     def test_flags_override_the_manifest(self, iris_path, tmp_path):
         # the manifest sets seed 0, 10 folds and output_dir out/
         manifest = write_manifest(tmp_path, iris_path, [{"method": "mdlp", "classifier": "nb"}])

@@ -35,7 +35,6 @@ from nbdisc.discretize import (
     sadd_partition,
     sadd_threshold,
     save_scheme,
-    shared_split_trees,
     sigmoid,
     threshold_curve,
 )
@@ -304,30 +303,44 @@ class TestSharedSplitTrees:
         st.lists(st.sampled_from(RULES), min_size=1, max_size=10),
     )
     def test_walks_equal_fresh_partitions(self, columns, rules):
-        # same values under other codes must not read the first column's table
+        # same values under other codes get a table of their own
         columns = columns + [(values, codes[::-1]) for values, codes in columns]
         partition = discretize_module._partition
         fresh = [{rule: partition(v, c, rule) for rule in RULES} for v, c in columns]
-        with shared_split_trees():
-            for rule in rules:
-                for (values, codes), want in zip(columns, fresh):
-                    assert partition(values, codes, rule) == want[rule]
+        tables = [{} for _ in columns]
+        for rule in rules:
+            for (values, codes), table, want in zip(columns, tables, fresh):
+                assert partition(values, codes, rule, table) == want[rule]
         for want in fresh:
             for n0 in RULES[1:]:
                 assert set(want[None]) <= set(want[n0])
 
     def test_repeated_input_evaluates_no_node_twice(self, iris, monkeypatch):
         calls = count_node_evaluations(monkeypatch)
-        col, labels = iris.columns[2], iris.labels
-        with shared_split_trees():
-            sadd = sadd_partition(col, labels, 2000)
-            first = list(calls)
-            assert first and len(set(first)) == len(first)
-            # the mdlp tree is a subtree of the sadd tree: nothing new
-            assert set(mdlp_partition(col, labels)) <= set(sadd)
-            assert sadd_partition(col, labels, 2000) == sadd
-            assert calls == first
-        assert discretize_module._shared_tables.get() is None
+        col, codes = iris.columns[2], class_codes(iris.labels)[1]
+        partition, table = discretize_module._partition, {}
+        sadd = partition(col, codes, 2000, table)
+        first = list(calls)
+        assert first and len(set(first)) == len(first)
+        # the mdlp tree is a subtree of the sadd tree: nothing new
+        assert set(partition(col, codes, None, table)) <= set(sadd)
+        assert partition(col, codes, 2000, table) == sadd
+        assert calls == first
+
+    def test_schemes_sharing_nodes_evaluate_no_node_twice(self, iris, monkeypatch):
+        calls = count_node_evaluations(monkeypatch)
+        methods = ("mdlp", "sadd")
+        fresh = {m: [c.tolist() for c in build_scheme(iris, None, m).cuts] for m in methods}
+        calls.clear()
+        build_scheme(iris, None, "sadd")
+        sadd_alone = len(calls)
+        calls.clear()
+        nodes = {}
+        for method in ("mdlp", "sadd", "mdlp", "sadd"):
+            cuts = build_scheme(iris, None, method, nodes=nodes).cuts
+            assert [c.tolist() for c in cuts] == fresh[method]
+        assert sorted(nodes) == iris.numeric_attrs()
+        assert 0 < len(calls) == sadd_alone
 
     def test_calls_outside_a_block_evaluate_their_nodes(self, iris, monkeypatch):
         # keeps criterion 10 a measurement of the splitter, not of a lookup
@@ -338,18 +351,6 @@ class TestSharedSplitTrees:
         assert evaluated > 0
         assert sadd_partition(col, labels, 2000) == first
         assert len(calls) == 2 * evaluated
-
-    def test_nested_blocks_share_tables(self, iris, monkeypatch):
-        calls = count_node_evaluations(monkeypatch)
-        col, labels = iris.columns[2], iris.labels
-        with shared_split_trees():
-            mdlp_partition(col, labels)
-            evaluated = len(calls)
-            with shared_split_trees():
-                mdlp_partition(col, labels)
-            assert discretize_module._shared_tables.get() is not None
-            mdlp_partition(col, labels)
-        assert len(calls) == evaluated > 0
 
 
 class TestUnsupervisedBins:

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from helpers import make_dataset
+from helpers import count_node_evaluations, make_dataset
 
+import nbdisc.discretize as discretize_module
 import nbdisc.evaluate as evaluate_module
-from nbdisc.data import stratified_folds
+from nbdisc.data import Dataset, stratified_folds
 from nbdisc.evaluate import (
     EvalReport,
     FittedPipeline,
@@ -32,6 +33,7 @@ from nbdisc.evaluate import (
     results_document,
     run_fold,
     run_folds,
+    whole_data_diagnostics,
 )
 from nbdisc.discretize import apply_scheme, build_scheme
 
@@ -377,6 +379,38 @@ class TestFoldMajor:
             run_folds(iris, plan.train_rows(fold), plan.test_rows(fold), [config] * 2, fold)
         assert calls["build_scheme"] == 5
         assert evaluate_module._fold_stages.get() is None
+
+    def test_split_nodes_do_not_outlive_a_fold(self, iris, monkeypatch):
+        calls = count_node_evaluations(monkeypatch)
+        plan = stratified_folds(iris, 3, seed=0)
+        train, test = plan.train_rows(0), plan.test_rows(0)
+        sadd = PipelineConfig(method="sadd", pseudo_label=False)
+        run_folds(iris, train, test, [sadd], 0)
+        alone = len(calls)
+        # mdlp reads the sadd nodes of its fold; the next call evaluates anew
+        for _ in range(2):
+            calls.clear()
+            run_folds(iris, train, test, [sadd, PipelineConfig(method="mdlp")], 0)
+            assert len(calls) == alone > 0
+
+    def test_diagnostics_evaluate_no_whole_data_node_twice(self, iris, monkeypatch):
+        seen = []
+        real = discretize_module._best_split
+
+        def recording(values, prefix, lo, hi):
+            seen.append((values.tobytes(), lo, hi))  # values: one sorted column
+            return real(values, prefix, lo, hi)
+
+        monkeypatch.setattr(discretize_module, "_best_split", recording)
+        configs = [PipelineConfig(method="sadd", pseudo_label=False), PipelineConfig(method="mdlp")]
+        cross_validate_configs(iris, configs, 3)
+        whole = [node for node in seen if len(node[0]) == 8 * iris.n_rows]
+        assert whole and len(set(whole)) == len(whole)
+        # a dataset of the same shape gets nodes of its own
+        columns = iris.columns[1:] + iris.columns[:1]
+        other = Dataset(iris.names, iris.kinds, columns, iris.missing, iris.labels)
+        for config, report in zip(configs, cross_validate_configs(other, configs, 3)):
+            assert report.diagnostics == whole_data_diagnostics(other, config.method)[1]
 
     def test_failed_fold_is_prefixed_and_others_still_run(self, iris):
         plan = stratified_folds(iris, 3, seed=0)
