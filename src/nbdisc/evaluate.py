@@ -409,9 +409,11 @@ def whole_data_diagnostics(
 ) -> tuple[DiscretizationScheme, DiagnosticsTable]:
     """Scheme built on all rows (self-imputed) and its diagnostics table.
 
-    ``nodes`` is ``build_scheme``'s: split nodes shared by calls on ``data``.
+    Data without missing cells is used as it is, so several calls can share
+    one imputation.  ``nodes`` is ``build_scheme``'s: split nodes shared by
+    calls on ``data``.
     """
-    imputed = impute_missing(data, data)
+    imputed = impute_missing(data, data) if data.missing.any() else data
     scheme = build_scheme(imputed, None, method, n0=n0, bins=bins, nodes=nodes)
     return scheme, diagnostics_table(scheme, apply_scheme(scheme, imputed), imputed.labels)
 
@@ -441,9 +443,9 @@ def cross_validate_configs(
     ``run_folds`` task ``(train_rows, test_rows, configs, fold)``.
     ``map_folds`` runs the tasks and yields their outcomes in order (default:
     one after another in this process).  Whole-data diagnostics are built
-    once per (method, n0, bins), on split nodes kept for this call.  Each
-    config gets its report, or the error of its fold plan, of its first
-    failing fold, or of its diagnostics.
+    once per (method, n0, bins), on one self-imputed copy of ``data`` and
+    split nodes kept for this call.  Each config gets its report, or the
+    error of its fold plan, of its first failing fold, or of its diagnostics.
     """
     groups: dict[int, list[PipelineConfig]] = {}
     for config in dict.fromkeys(configs):
@@ -472,12 +474,15 @@ def cross_validate_configs(
 
     diagnostics: dict[tuple, DiagnosticsTable | Exception] = {}
     nodes: dict = {}
+    imputed = None  # the whole dataset self-imputed, once for every diagnostics key
     reports: list[EvalReport | Exception] = []
     for config in configs:
         key = (config.method, config.n0, config.bins)
         if with_diagnostics and config not in failed and key not in diagnostics:
             try:
-                diagnostics[key] = whole_data_diagnostics(data, *key, nodes=nodes)[1]
+                if imputed is None:
+                    imputed = impute_missing(data, data)
+                diagnostics[key] = whole_data_diagnostics(imputed, *key, nodes=nodes)[1]
             except Exception as exc:  # noqa: BLE001 - reported as this config's outcome
                 diagnostics[key] = exc
         outcome = failed.get(config) or diagnostics.get(key)  # an error, a table or None

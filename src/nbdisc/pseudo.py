@@ -1,14 +1,17 @@
 """k-nearest-neighbor pseudo-labeling of unlabeled rows.
 
 Distances are Euclidean over z-scored numeric features (statistics from the
-labeled data) plus a 0/1 mismatch term per categorical feature.  They are
-computed one way at every problem size, as an exact feature-by-feature sum,
-so a row's neighbors depend only on that row and the labeled rows, never on
-the pool size or the block it is ranked in.  Tie rules are fixed for
-reproducibility: distance ties prefer the lower labeled row index, vote ties
-prefer the smallest class index (classes sorted by token), and accuracy ties
-in the k search prefer the smallest k.  The neighbor count k is tuned on a
-held-out ninth of the labeled data.
+labeled data) plus a 0/1 mismatch term per categorical feature.  Neighbors
+are found by screen and refine: one matrix product per block of queries
+approximates every distance, and only the closest candidates get the exact
+feature-by-feature sum, which ranks them.  A row whose candidates cannot be
+shown, within a rounding bound, to hold its true neighbors is ranked over
+all exact distances instead.  So a row's neighbors depend only on that row
+and the labeled rows, never on the pool size or the block it is ranked in.
+Tie rules are fixed for reproducibility: distance ties prefer the lower
+labeled row index, vote ties prefer the smallest class index (classes sorted
+by token), and accuracy ties in the k search prefer the smallest k.  The
+neighbor count k is tuned on a held-out ninth of the labeled data.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .data import AttributeKind, Dataset, class_codes, stratified_folds
 
 DEFAULT_K_GRID: tuple[int, ...] = tuple(range(1, 32, 2))
 _BLOCK_ENTRIES = 1 << 16  # distances per ranking block: a cache-sized (n_queries, n_ref) slab
+_SCREEN_PAD = 8  # screened candidates kept beyond max_k, so near-ties stay certain
 
 
 @dataclass(frozen=True)
@@ -104,22 +108,72 @@ def _distance_sq(
     only on the two rows: exact ties (duplicate rows, symmetric layouts)
     stay exact at every problem size and the index tie rule is meaningful.
     A ``work`` buffer of shape (2, >= n_queries, n_ref) replaces fresh arrays.
+    ``ref`` may also be a (n_ref, n_queries, width) stack of rows per query:
+    then entry (i, j) is the distance of query i to row ``ref[j, i]``.
     """
-    cols = np.ascontiguousarray(ref.T)  # one row of reference values per feature
+    cols = np.ascontiguousarray(ref.T)  # reference values, one feature at a time
     dist, diff = np.empty((2, len(queries), len(ref))) if work is None else work[:, : len(queries)]
     dist.fill(0.0)
     for c in range(space.n_numeric):
         np.subtract(queries[:, c, None], cols[c], out=diff)
         dist += np.square(diff, out=diff)
-    for c in range(space.n_numeric, ref.shape[1]):
+    for c in range(space.n_numeric, ref.shape[-1]):
         dist += np.not_equal(queries[:, c, None], cols[c], out=diff)
     return dist
 
 
 def _votes(neighbor_codes: np.ndarray, n_classes: int) -> np.ndarray:
-    """(n, K) majority class of the first k neighbors in column k-1; ties pick the smaller."""
-    counts = (neighbor_codes[:, :, None] == np.arange(n_classes)).astype(np.int32)
-    return np.cumsum(counts, axis=1, out=counts).argmax(axis=2)
+    """(n, K) majority class of the first k neighbors in column k-1; ties pick the smaller.
+
+    One running (n, classes) count gains a neighbor column at a time; argmax
+    takes the first of equal counts.
+    """
+    n, n_cols = neighbor_codes.shape
+    counts = np.zeros((n, n_classes), dtype=np.int32)
+    out = np.empty((n, n_cols), dtype=np.intp)
+    rows = np.arange(n)
+    for j in range(n_cols):
+        counts[rows, neighbor_codes[:, j]] += 1
+        out[:, j] = counts.argmax(axis=1)
+    return out
+
+
+def _screen_vectors(
+    space: FeatureSpace, ref: np.ndarray, queries: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(w + 2, n_ref) and (n_queries, w + 2) screening factors.
+
+    Vectors ``v`` of w columns hold the numeric columns as encoded, then per
+    categorical column a one-hot block of the codes met in ``ref`` or
+    ``queries`` scaled by 1/sqrt(2), so that |v_q - v_r|^2 is, in exact
+    arithmetic, the mixed distance.  A query's factor is (-2 v_q, |v_q|^2, 1)
+    and a reference row's is (v_r, 1, |v_r|^2): their product is that
+    distance expanded, so one GEMM screens a block.
+    """
+    rows = np.concatenate([ref, queries])
+    n_num = space.n_numeric
+    codes = [np.unique(col, return_inverse=True)[1] for col in rows[:, n_num:].T]
+    starts = np.cumsum([n_num] + [int(c.max()) + 1 for c in codes])  # one-hot block offsets
+    w = int(starts[-1])
+    factor = np.zeros((len(rows), w + 2))  # (v, |v|^2, 1) per row
+    factor[:, :n_num] = rows[:, :n_num]
+    for c, start in zip(codes, starts):
+        factor[np.arange(len(rows)), start + c] = np.sqrt(0.5)
+    factor[:, w] = np.einsum("ij,ij->i", factor[:, :w], factor[:, :w])
+    factor[:, w + 1] = 1.0
+    n_ref = len(ref)
+    ref_factor = np.ascontiguousarray(factor[:n_ref, [*range(w), w + 1, w]].T)
+    query_factor = factor[n_ref:]
+    query_factor[:, :w] *= -2.0
+    return ref_factor, query_factor
+
+
+def _rank_exact(
+    space: FeatureSpace, ref: np.ndarray, queries: np.ndarray, max_k: int, work: np.ndarray
+) -> np.ndarray:
+    """The first max_k columns of a stable argsort of each exact distance row."""
+    dist = _distance_sq(space, ref, queries, work)
+    return np.argsort(dist, axis=1, kind="stable")[:, :max_k]
 
 
 def _nearest_neighbors(
@@ -127,27 +181,59 @@ def _nearest_neighbors(
 ) -> np.ndarray:
     """(n_queries, max_k) labeled-row indices in nearest-first order.
 
-    The first max_k columns of a stable argsort of each distance row, so
-    distance ties keep the lower row index.  ``argpartition`` picks max_k
-    candidates, ordered by (distance, index); a row with more than max_k
-    distances at or below its max_k-th may have lost a tied lower index, so
-    it is re-ranked by a stable argsort.
+    Ordered by (exact distance, index), as a stable argsort of each exact
+    distance row would order them.  Per block of queries, one GEMM of
+    screening vectors (``_screen_vectors``) gives every distance up to
+    rounding; ``argpartition`` keeps the ``kk`` smallest as candidates, and
+    only those get exact distances from ``_distance_sq``.  The ranking is
+    certain when no other row can come within the max_k-th exact distance:
+    when its kk-th screen value minus the rounding slack still exceeds it.
+    An uncertain row is ranked over an exact row of all distances.
     """
+    n_ref, width = ref.shape
     out = np.empty((len(queries), max_k), dtype=int)
-    block = max(1, _BLOCK_ENTRIES // max(len(ref), 1))
+    block = max(1, _BLOCK_ENTRIES // max(n_ref, 1))
+    kk = min(n_ref, max_k + _SCREEN_PAD)
     ref = np.asfortranarray(ref)  # so that every block's ref.T is a view, not a copy
-    work = np.empty((2, min(block, len(queries)), len(ref)))  # one buffer for all blocks
+    work = np.empty((2, min(block, len(queries)), n_ref))  # one buffer for all blocks
+    if kk == n_ref:  # every row is a candidate: nothing to screen
+        for start in range(0, len(queries), block):
+            out[start : start + block] = _rank_exact(
+                space, ref, queries[start : start + block], max_k, work
+            )
+        return out
+
+    ref_factor, query_factor = _screen_vectors(space, ref, queries)
+    # Slack, from the dot-product bound |fl(x.y) - x.y| <= gamma_n |x|.|y|
+    # (gamma_n = n u / (1 - n u), u = 2**-53, any summation order).  With
+    # w screening columns, N = |v_q|^2 + |v_r|^2 and D the mixed distance:
+    # - screen: the GEMM is off by <= 2 gamma_{w+2} N, the rounded norms
+    #   by gamma_w N and the rounded 1/sqrt(2) by 3u N, so <= 3 gamma_{w+4} N;
+    # - exact: a column-order sum of ``width`` terms, each within gamma_3
+    #   relative, is off by <= gamma_{width+2} D <= 2 gamma_{width+2} N.
+    # Screen and exact value differ by <= 3 gamma_{w+width+6} N.  The slack
+    # is over 300 times that, with N <= |v_q|^2 + max |v_r|^2; the margin
+    # also covers rounding the slack and subtracting it.
+    w = ref_factor.shape[0] - 2
+    slack = 1000.0 * (w + width + 6) * 2.0**-53 * (query_factor[:, -2] + ref_factor[-1].max())
+    screen = np.empty((min(block, len(queries)), n_ref))
+    cand_work = np.empty((2, min(block, len(queries)), kk))
     for start in range(0, len(queries), block):
-        dist = _distance_sq(space, ref, queries[start : start + block], work)
-        cand = np.argpartition(dist, max_k - 1, axis=1)[:, :max_k]
-        cand_dist = np.take_along_axis(dist, cand, axis=1)
-        order = np.lexsort((cand, cand_dist))
-        ranked = np.take_along_axis(cand, order, axis=1)
-        kth = cand_dist.max(axis=1)[:, None]
-        tied = np.flatnonzero(np.count_nonzero(dist <= kth, axis=1) > max_k)
-        if tied.size:
-            ranked[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, :max_k]
-        out[start : start + block] = ranked
+        stop = min(start + block, len(queries))
+        rows = slice(start, stop)
+        dist = np.matmul(query_factor[rows], ref_factor, out=screen[: stop - start])
+        cand = np.argpartition(dist, kk - 1, axis=1)[:, :kk]
+        bound = np.take_along_axis(dist, cand[:, kk - 1 :], axis=1)[:, 0] - slack[rows]
+        # (kk, n_block, width) whose transpose is contiguous: _distance_sq
+        # reads each candidate's columns in order, as for a full row
+        stack = ref.T[:, cand].T
+        exact = _distance_sq(space, stack, queries[rows], cand_work)
+        order = np.lexsort((cand, exact))[:, :max_k]
+        out[rows] = np.take_along_axis(cand, order, axis=1)
+        kth = np.take_along_axis(exact, order[:, -1:], axis=1)[:, 0]
+        unsure = np.flatnonzero(bound <= kth)
+        if unsure.size:
+            out[start + unsure] = _rank_exact(space, ref, queries[start + unsure], max_k, work)
     return out
 
 
@@ -203,7 +289,8 @@ def select_k(
     """Grid-search k on one of nine stratified parts held out for validation.
 
     Accuracy ties break toward the smallest k; grid values larger than the
-    fit set are skipped.
+    fit set are skipped.  Fewer than 9 labeled rows raise ``ValueError``,
+    which a pipeline reports as a ``[pseudo-label]`` error.
     """
     if not grid:
         raise ValueError("empty grid")

@@ -58,6 +58,36 @@ def grid_problems(draw):
     return n_numeric, n_categorical, np.array(ref, float), np.array(queries, float), k
 
 
+@st.composite
+def far_grid_problems(draw):
+    """Grid rows offset by 1e3 to 1e12, with queries that copy reference rows."""
+    width = draw(st.integers(1, 3))
+    offset = 10.0 ** draw(st.integers(3, 12))
+    row = st.lists(st.integers(0, 3), min_size=width, max_size=width)
+    ref = draw(st.lists(row, min_size=1, max_size=40))
+    queries = draw(st.lists(row, min_size=1, max_size=6))
+    queries += [ref[i] for i in draw(st.lists(st.integers(0, len(ref) - 1), max_size=3))]
+    k = draw(st.integers(1, min(len(ref), 6)))
+    return offset + np.array(ref, float), offset + np.array(queries, float), k
+
+
+@st.composite
+def float_code_problems(draw):
+    """Numeric grid columns, then categorical codes that are negative or non-integer."""
+    n_numeric = draw(st.integers(0, 2))
+    n_categorical = draw(st.integers(1, 2))
+    codes = st.sampled_from([-3.5, -1.0, -0.25, 0.5, 2.75, 1e9 + 0.5])
+    row = st.tuples(
+        st.lists(st.integers(0, 2).map(float), min_size=n_numeric, max_size=n_numeric),
+        st.lists(codes, min_size=n_categorical, max_size=n_categorical),
+    ).map(lambda parts: parts[0] + parts[1])
+    ref = draw(st.lists(row, min_size=1, max_size=40))
+    queries = draw(st.lists(row, min_size=1, max_size=6))
+    queries += [ref[i] for i in draw(st.lists(st.integers(0, len(ref) - 1), max_size=3))]
+    k = draw(st.integers(1, min(len(ref), 6)))
+    return n_numeric, n_categorical, np.array(ref, float), np.array(queries, float), k
+
+
 class TestKnnPredict:
     def test_self_match_with_k1(self):
         ref = np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]])
@@ -174,6 +204,56 @@ class TestNearestNeighbors:
                 mp.setattr(pseudo, "_BLOCK_ENTRIES", entries)
                 assert _nearest_neighbors(space, ref, queries, k).tolist() == want
 
+    @given(far_grid_problems())
+    def test_far_from_origin_matches_brute_force_at_every_block_size(self, problem):
+        # the screen loses the ties (and more) at large offsets; the refine
+        # and the exact fallback must still give the brute-force order
+        ref, queries, k = problem
+        space = _all_numeric_space(ref.shape[1])
+        want = [brute_force_neighbors(ref.tolist(), q, k) for q in queries.tolist()]
+        for entries in BLOCK_ENTRIES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pseudo, "_BLOCK_ENTRIES", entries)
+                assert _nearest_neighbors(space, ref, queries, k).tolist() == want
+
+    @given(float_code_problems())
+    def test_float_categorical_codes_match_brute_force_at_every_block_size(self, problem):
+        n_numeric, n_categorical, ref, queries, k = problem
+        space = mixed_space(n_numeric, n_categorical)
+        want = [brute_force_neighbors(ref.tolist(), q, k, n_numeric) for q in queries.tolist()]
+        for entries in BLOCK_ENTRIES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pseudo, "_BLOCK_ENTRIES", entries)
+                assert _nearest_neighbors(space, ref, queries, k).tolist() == want
+
+    def test_identical_rows_keep_the_lowest_indices(self):
+        # all-zero rows: every screen value, its slack and every exact
+        # distance are 0, so no ranking is certain without the fallback
+        space = _all_numeric_space(2)
+        ref = np.zeros((1000, 2))
+        got = _nearest_neighbors(space, ref, np.zeros((3, 2)), 4)
+        assert got.tolist() == [[0, 1, 2, 3]] * 3
+
+    def test_fallback_only_where_the_screen_cannot_certify(self, monkeypatch):
+        fallback_rows = []
+        real = pseudo._rank_exact
+
+        def counting(space, ref, queries, max_k, work):
+            fallback_rows.append(len(queries))
+            return real(space, ref, queries, max_k, work)
+
+        monkeypatch.setattr(pseudo, "_rank_exact", counting)
+        rng = np.random.default_rng(5)
+        space = _all_numeric_space(3)
+        centers = np.repeat([[0.0, 0.0, 0.0], [8.0, 8.0, 8.0]], 300, axis=0)
+        ref = centers + rng.normal(size=(600, 3))
+        queries = centers[::3] + rng.normal(size=(200, 3))
+        _nearest_neighbors(space, ref, queries, 5)
+        assert sum(fallback_rows) == 0
+        grid = 1e8 + rng.integers(0, 4, (600, 2))  # screen error far above the distances
+        _nearest_neighbors(_all_numeric_space(2), grid, grid[:50], 5)
+        assert sum(fallback_rows) > 0
+
     @given(grid_problems(), st.integers(2, 4))
     def test_prefix_votes_match_brute_force_knn(self, problem, n_classes):
         n_numeric, n_categorical, ref, queries, k = problem
@@ -185,6 +265,15 @@ class TestNearestNeighbors:
         for j in range(k):
             want = [brute_force_knn(ref.tolist(), labels, q, j + 1) for q in queries.tolist()]
             assert classes[votes[:, j]].tolist() == want
+
+    def test_votes_count_every_prefix_with_unseen_classes(self):
+        rng = np.random.default_rng(9)
+        codes = rng.integers(0, 4, (60, 9))  # class 4 never appears
+        want = [
+            [int(np.bincount(row[: j + 1], minlength=5).argmax()) for j in range(9)]
+            for row in codes
+        ]
+        assert _votes(codes, 5).tolist() == want
 
 
 class TestFeatureSpace:
