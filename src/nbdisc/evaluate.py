@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -186,11 +185,11 @@ class FittedPipeline:
         )
 
 
-# Stage results of the fold ``run_folds`` is running, keyed by the config
-# fields each stage reads.  Every fit_pipeline call inside run_folds fits that
-# fold's rows; run_fold and fit_pipeline keep their signatures, so they find
-# the results here rather than in an argument.
-_fold_stages: ContextVar[dict | None] = ContextVar("fold_stages", default=None)
+def _once(stages: dict, key: tuple, compute: Callable[[], object]):
+    """``stages[key]``, set to ``compute()`` on the first call for ``key``."""
+    if key not in stages:
+        stages[key] = compute()
+    return stages[key]
 
 
 def fit_pipeline(
@@ -198,37 +197,32 @@ def fit_pipeline(
     config: PipelineConfig,
     seed: int | None = None,
     test: Dataset | None = None,
+    stages: dict | None = None,
 ) -> tuple[FittedPipeline, int | None]:
     """Fit imputation, discretization and classifier on the ``train`` rows.
 
     ``test`` contributes features only: its categories join the vocabulary,
     and with a transductive pseudo-labeling config its rows join the pool.
     Returns the fitted pipeline and the k chosen for pseudo-labeling (None
-    when nothing was pseudo-labeled).  Inside ``run_folds``, a stage that an
-    earlier config computed on the same fold and keys is read back.
+    when nothing was pseudo-labeled).  Calls on the same rows may share one
+    ``stages`` dict, which keeps each stage's result under the config fields
+    it reads; it changes what is recomputed, never a result.
     """
     seed = config.seed if seed is None else seed
-    shared = _fold_stages.get()
-    shared = {} if shared is None else shared
-
-    def once(key: tuple, compute):
-        if key not in shared:
-            shared[key] = compute()
-        return shared[key]
-
+    stages = {} if stages is None else stages
     stage = "impute"
     try:
         # impute_missing, not fill_missing: the benchmark's trace times the
         # training rows' imputation under that name
-        imp_train, fill = once(
-            ("impute",), lambda: (impute_missing(train, train), imputation_values(train))
-        )
+        imp_train, fill = _once(stages, ("impute",), lambda: (
+            impute_missing(train, train), imputation_values(train)
+        ))
         imp_test = None if test is None else fill_missing(test, fill)
 
         stage = "split"
         split_key = ("split", config.labeled_fraction, seed)
         if config.labeled_fraction < 1.0:
-            split = once(split_key, lambda: split_labeled_fraction(
+            split = _once(stages, split_key, lambda: split_labeled_fraction(
                 np.arange(imp_train.n_rows), imp_train.labels, config.labeled_fraction,
                 _child_seed(seed, 1),
             ))
@@ -247,11 +241,13 @@ def fit_pipeline(
         parts = [part for part in parts if part is not None and part.n_rows]
         if config.uses_pseudo_labels and parts:
             pool = concat_rows(parts)
-            selected_k = once(("k", split_key, config.k_grid), lambda: select_k(
+            selected_k = _once(stages, ("k", split_key, config.k_grid), lambda: select_k(
                 labeled, config.k_grid, _child_seed(seed, 2)
             ))
             rows_key = ("pseudo", split_key, config.transductive, selected_k)
-            pseudo = once(rows_key, lambda: pseudo_label(labeled, pool, KnnConfig(selected_k)))
+            pseudo = _once(stages, rows_key, lambda: pseudo_label(
+                labeled, pool, KnnConfig(selected_k)
+            ))
             scheme_data = concat_rows([labeled, pool])
             scheme_labels = np.concatenate([labeled.labels, pseudo])
         elif config.method in ("eqw", "eqf"):
@@ -262,25 +258,24 @@ def fit_pipeline(
 
         stage = "discretize"
         scheme_key = ("scheme", rows_key, config.method, config.n0, config.bins)
-        scheme = once(scheme_key, lambda: build_scheme(
+        scheme = _once(stages, scheme_key, lambda: build_scheme(
             scheme_data, scheme_labels, config.method, n0=config.n0, bins=config.bins,
-            nodes=once(("nodes", rows_key), dict),
+            nodes=_once(stages, ("nodes", rows_key), dict),
         ))
         vocab = categorical_vocab([imp_train] if imp_test is None else [imp_train, imp_test])
         # not kept: a fold would hold one (rows, attrs) table per scheme
         table = encode_discrete(apply_scheme(scheme, labeled), scheme, vocab)
 
         stage = "fit"
-        model = once(("model", scheme_key, split_key), lambda: fit_nb(table, labeled.labels))
+        model_key = ("model", scheme_key, split_key)
+        model = _once(stages, model_key, lambda: fit_nb(table, labeled.labels))
         opts = TrainOptions(max_iter=config.max_iter, tol=config.tol)
         if config.classifier == "nb":
             params = identity_params(model)
-        elif config.classifier == "wanbia":
-            params = train_wanbia(table, labeled.labels, opts, model=model).params
-        elif config.classifier == "cawnb":
-            params = train_cawnb(table, labeled.labels, opts, model=model).params
         else:
-            params = train_rnb(table, labeled.labels, opts, model=model).params
+            # built per call: the benchmark's trace rebinds these names
+            trainer = {"wanbia": train_wanbia, "cawnb": train_cawnb, "rnb": train_rnb}
+            params = trainer[config.classifier](table, labeled.labels, opts, model=model).params
     except PipelineError:
         raise
     except Exception as exc:
@@ -294,8 +289,10 @@ def run_fold(
     test_rows: Sequence[int] | np.ndarray,
     config: PipelineConfig,
     seed: int | None = None,
+    stages: dict | None = None,
 ) -> FoldResult:
-    """Fit the pipeline on one train/test split and score the test rows."""
+    """Fit the pipeline on one train/test split and score the test rows;
+    ``stages`` is passed on to ``fit_pipeline``."""
     train_rows = np.asarray(train_rows, dtype=int)
     test_rows = np.asarray(test_rows, dtype=int)
     if np.intersect1d(train_rows, test_rows).size:
@@ -306,7 +303,7 @@ def run_fold(
     if rows.min() < 0 or rows.max() >= data.n_rows:
         raise PipelineError("setup", "row index out of range")
     test = data.subset(test_rows)
-    fitted, selected_k = fit_pipeline(data.subset(train_rows), config, seed, test=test)
+    fitted, selected_k = fit_pipeline(data.subset(train_rows), config, seed, test, stages)
     try:
         predictions, _ = fitted.predict(test)
     except Exception as exc:
@@ -328,20 +325,18 @@ def run_folds(
     per fold; the labeled split per (labeled_fraction, seed); select_k per
     (split, k_grid) and pseudo_label per (split, transductive, k); split nodes
     per scheme rows; the scheme per (scheme rows, method, n0, bins); fit_nb
-    per scheme.  The stage results are dropped on return.  A failed config's
+    per scheme.  The results live in one stage dict that ``run_fold`` gets for
+    every config and that is dropped on return.  A failed config's
     PipelineError, with a ``fold N:`` prefix, takes the place of its result.
     """
-    token = _fold_stages.set({})
+    stages: dict = {}
     outcomes: list[FoldResult | PipelineError] = []
-    try:
-        for config in configs:
-            try:
-                seed = _child_seed(config.seed, 7, fold)
-                outcomes.append(run_fold(data, train_rows, test_rows, config, seed=seed))
-            except PipelineError as exc:
-                outcomes.append(PipelineError(exc.stage, f"fold {fold}: {exc.message}"))
-    finally:
-        _fold_stages.reset(token)
+    for config in configs:
+        try:
+            seed = _child_seed(config.seed, 7, fold)
+            outcomes.append(run_fold(data, train_rows, test_rows, config, seed, stages))
+        except PipelineError as exc:
+            outcomes.append(PipelineError(exc.stage, f"fold {fold}: {exc.message}"))
     return outcomes
 
 
@@ -472,21 +467,22 @@ def cross_validate_configs(
             else:
                 results[config].append((outcome.accuracy, outcome.selected_k))
 
-    diagnostics: dict[tuple, DiagnosticsTable | Exception] = {}
-    nodes: dict = {}
-    imputed = None  # the whole dataset self-imputed, once for every diagnostics key
+    # the whole dataset self-imputed, its split nodes, and per (method, n0,
+    # bins) a diagnostics table or the error that building it raised
+    stages: dict = {}
     reports: list[EvalReport | Exception] = []
     for config in configs:
         key = (config.method, config.n0, config.bins)
-        if with_diagnostics and config not in failed and key not in diagnostics:
+        outcome = failed.get(config)
+        if outcome is None and with_diagnostics:
             try:
-                if imputed is None:
-                    imputed = impute_missing(data, data)
-                diagnostics[key] = whole_data_diagnostics(imputed, *key, nodes=nodes)[1]
+                outcome = _once(stages, key, lambda: whole_data_diagnostics(
+                    _once(stages, ("imputed",), lambda: impute_missing(data, data)), *key,
+                    nodes=_once(stages, ("nodes",), dict),
+                )[1])
             except Exception as exc:  # noqa: BLE001 - reported as this config's outcome
-                diagnostics[key] = exc
-        outcome = failed.get(config) or diagnostics.get(key)  # an error, a table or None
-        if not isinstance(outcome, Exception):
+                outcome = stages[key] = exc
+        if not isinstance(outcome, Exception):  # a table or None
             accuracies, ks = map(list, zip(*results[config]))
             outcome = EvalReport(dataset_name, config, accuracies, ks, outcome)
         reports.append(outcome)
@@ -595,25 +591,32 @@ def report_from_dict(doc: dict) -> EvalReport:
     )
 
 
+def _vs_candidate(reports: Sequence[EvalReport]) -> list[tuple[EvalReport, TTestResult] | None]:
+    """Per report, its dataset's candidate (the dataset's first report) and
+    the candidate-vs-report t-test; None for the candidate itself."""
+    first_by_dataset: dict[str, EvalReport] = {}
+    out: list[tuple[EvalReport, TTestResult] | None] = []
+    for report in reports:
+        candidate = first_by_dataset.get(report.dataset)
+        first_by_dataset.setdefault(report.dataset, report)
+        out.append(None if candidate is None else (candidate, paired_t_test_one_tailed(
+            candidate.fold_accuracies, report.fold_accuracies
+        )))
+    return out
+
+
 def results_document(reports: Sequence[EvalReport], seed: int) -> dict:
     """Machine-readable results: per run, folds, stats, and t-tests vs the
     first configuration of the same dataset (the candidate)."""
     runs = []
-    first_by_dataset: dict[str, EvalReport] = {}
-    for report in reports:
+    for report, vs in zip(reports, _vs_candidate(reports)):
         entry = report_to_dict(report)
-        candidate = first_by_dataset.get(report.dataset)
-        if candidate is None:
-            first_by_dataset[report.dataset] = report
-            entry["vs_first"] = None
-        else:
-            test = paired_t_test_one_tailed(candidate.fold_accuracies, report.fold_accuracies)
-            entry["vs_first"] = {
-                "candidate_hash": config_hash(candidate.config),
-                "t": test.t,
-                "p": test.p,
-                "candidate_significantly_better": test.significant,
-            }
+        entry["vs_first"] = None if vs is None else {
+            "candidate_hash": config_hash(vs[0].config),
+            "t": vs[1].t,
+            "p": vs[1].p,
+            "candidate_significantly_better": vs[1].significant,
+        }
         runs.append(entry)
     return {
         "format": "nbdisc-results-v1",
@@ -644,29 +647,24 @@ def load_results(path: str | Path) -> dict:
 
 
 def format_comparison_table(reports: Sequence[EvalReport]) -> str:
-    """Aligned accuracy table; a bullet marks configurations the first
-    (candidate) configuration significantly outperforms."""
+    """Aligned accuracy table; a bullet marks configurations that their
+    dataset's candidate (its first report) significantly outperforms."""
     datasets = list(dict.fromkeys(r.dataset for r in reports))
     configs = list(dict.fromkeys(r.config for r in reports))
-    by_key = {(r.dataset, r.config): r for r in reports}
+    by_key = {(r.dataset, r.config): (r, vs) for r, vs in zip(reports, _vs_candidate(reports))}
 
     header = ["dataset"] + [c.label() for c in configs]
     lines = []
     for ds in datasets:
         row = [ds]
-        candidate = by_key.get((ds, configs[0]))
         for c in configs:
-            report = by_key.get((ds, c))
-            if report is None:
+            if (ds, c) not in by_key:
                 row.append("-")
                 continue
+            report, vs = by_key[(ds, c)]
             cell = f"{100 * report.mean:.2f}±{100 * report.std:.2f}"
-            if candidate is not None and c != configs[0]:
-                test = paired_t_test_one_tailed(
-                    candidate.fold_accuracies, report.fold_accuracies
-                )
-                if test.significant:
-                    cell += " •"
+            if vs is not None and vs[1].significant:
+                cell += " •"
             row.append(cell)
         lines.append(row)
 

@@ -344,15 +344,16 @@ class TrainResult:
 def _train(
     table: DiscreteTable,
     labels: Sequence[str] | np.ndarray,
-    variant: str,
+    a: float,
     opts: TrainOptions,
     model: NbModel | None,
 ) -> TrainResult:
-    """Gradient descent from all-one exponents.
+    """Gradient descent from all-one exponents and blend logit ``a``.
 
-    ``rnb`` fits W, w and alpha; ``wanbia`` fits only w and ``cawnb`` only
-    W: alpha is pinned at 0 or 1, so the untrained branch is never computed
-    and its exponents get a zero gradient.
+    alpha = sigmoid(a).  ``rnb`` starts at a = 0 and fits W, w and alpha;
+    a = -inf (``wanbia``) or +inf (``cawnb``) pins alpha at exactly 0 or 1,
+    so only w or only W is fit: the untrained branch is never computed and
+    its exponents get a zero gradient.
     """
     model = fit_nb(table, labels) if model is None else model
     if model.n_classes < 2:
@@ -362,8 +363,6 @@ def _train(
 
     W = np.ones((model.n_classes, model.n_attrs))
     w = np.ones(model.n_attrs)
-    # alpha = sigmoid(a); a = -inf / +inf pins it at exactly 0 (wanbia) / 1 (cawnb)
-    a = {"rnb": 0.0, "wanbia": -math.inf, "cawnb": math.inf}[variant]
     alpha = sigmoid(a)
     post = _posteriors(model, W, w, alpha, loglik)
     value = _loss(post[0], target)
@@ -405,7 +404,7 @@ def train_rnb(
     model: NbModel | None = None,
 ) -> TrainResult:
     """Fit W, w and the blend coefficient jointly."""
-    return _train(table, labels, "rnb", opts or TrainOptions(), model)
+    return _train(table, labels, 0.0, opts or TrainOptions(), model)
 
 
 def train_wanbia(
@@ -415,7 +414,7 @@ def train_wanbia(
     model: NbModel | None = None,
 ) -> TrainResult:
     """Class-shared exponents only (alpha fixed at 0)."""
-    return _train(table, labels, "wanbia", opts or TrainOptions(), model)
+    return _train(table, labels, -math.inf, opts or TrainOptions(), model)
 
 
 def train_cawnb(
@@ -425,7 +424,7 @@ def train_cawnb(
     model: NbModel | None = None,
 ) -> TrainResult:
     """Class-specific exponents only (alpha fixed at 1)."""
-    return _train(table, labels, "cawnb", opts or TrainOptions(), model)
+    return _train(table, labels, math.inf, opts or TrainOptions(), model)
 
 
 # --- serialization -----------------------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -328,7 +329,7 @@ class TestFoldMajor:
     def test_each_stage_runs_once_per_fold_and_key(self, iris, monkeypatch):
         calls = count_calls(
             monkeypatch, "impute_missing", "split_labeled_fraction", "select_k",
-            "pseudo_label", "build_scheme", "fit_nb",
+            "pseudo_label", "build_scheme", "fit_nb", "train_wanbia", "train_cawnb", "train_rnb",
         )
         same_front_end = [
             PipelineConfig(method="sadd", classifier=c, max_iter=3)
@@ -338,6 +339,7 @@ class TestFoldMajor:
         assert calls == {
             "impute_missing": 3, "split_labeled_fraction": 0, "select_k": 3,
             "pseudo_label": 3, "build_scheme": 3, "fit_nb": 3,
+            "train_wanbia": 3, "train_cawnb": 3, "train_rnb": 3,
         }
 
         calls.update(dict.fromkeys(calls, 0))
@@ -356,6 +358,7 @@ class TestFoldMajor:
         assert calls == {
             "impute_missing": 3, "split_labeled_fraction": 3, "select_k": 3,
             "pseudo_label": 6, "build_scheme": 12, "fit_nb": 15,
+            "train_wanbia": 6, "train_cawnb": 0, "train_rnb": 0,
         }
 
     def test_diagnostics_once_per_method_n0_and_bins(self, iris, monkeypatch):
@@ -378,7 +381,21 @@ class TestFoldMajor:
         for fold in (0, 0, 1):
             run_folds(iris, plan.train_rows(fold), plan.test_rows(fold), [config] * 2, fold)
         assert calls["build_scheme"] == 5
-        assert evaluate_module._fold_stages.get() is None
+
+    def test_run_fold_calls_sharing_one_stages_dict_build_once(self, iris, monkeypatch):
+        calls = count_calls(monkeypatch, "build_scheme")
+        plan = stratified_folds(iris, 3, seed=0)
+        train, test = plan.train_rows(1), plan.test_rows(1)
+        configs = [
+            PipelineConfig(method="sadd"),
+            PipelineConfig(method="sadd", classifier="rnb", max_iter=5),
+        ]
+        stages: dict = {}
+        shared = [run_fold(iris, train, test, config, 4, stages) for config in configs]
+        assert calls["build_scheme"] == 1 and stages
+        for config, result in zip(configs, shared):
+            assert result == run_fold(iris, train, test, config, 4)
+        assert calls["build_scheme"] == 3
 
     def test_split_nodes_do_not_outlive_a_fold(self, iris, monkeypatch):
         calls = count_node_evaluations(monkeypatch)
@@ -536,6 +553,35 @@ class TestReports:
         assert "sadd+nb" in lines[0] and "mdlp+nb" in lines[0]
         # candidate column carries no bullet; the significantly-worse baseline does
         assert lines[1].count("•") == 1
+
+    def test_bullets_are_the_vs_first_wins_when_a_first_config_fails(self, iris):
+        # on every fifth iris row, sadd@0.2 leaves select_k too few labeled rows
+        configs = [
+            PipelineConfig(method="sadd", labeled_fraction=0.2),
+            PipelineConfig(method="mdlp"),
+            PipelineConfig(method="eqw", bins=2),
+        ]
+        reports = [
+            outcome
+            for name, data in (("iris", iris), ("iris30", iris.subset(np.arange(0, 150, 5))))
+            for outcome in cross_validate_configs(data, configs, 5, name)
+            if not isinstance(outcome, Exception)
+        ]
+        assert [r.dataset for r in reports] == ["iris"] * 3 + ["iris30"] * 2
+        lines = [re.split(r"\s{2,}", line) for line in format_comparison_table(reports).splitlines()]
+        marked = {
+            (row[0], label)
+            for row in lines[1:]
+            for label, cell in zip(lines[0][1:], row[1:])
+            if cell.endswith("•")
+        }
+        wins = {
+            (run["dataset"], config_from_dict(run["config"]).label())
+            for run in results_document(reports, seed=0)["runs"]
+            if run["vs_first"] and run["vs_first"]["candidate_significantly_better"]
+        }
+        assert ("iris30", "eqw+nb") in wins
+        assert marked == wins
 
     def test_single_config_no_markers(self, two_reports):
         table = format_comparison_table(two_reports[:1])
