@@ -251,44 +251,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nbdisc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("discretize", help="build a cut-point scheme for one CSV")
+    # the pipeline options that discretize, bench and train share
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--method", choices=METHODS, default="sadd")
+    shared.add_argument("--n0", type=int, default=DEFAULT_N0)
+    shared.add_argument("--bins", type=int, default=DEFAULT_BINS)
+    shared.add_argument("--missing-token", default=MISSING_TOKEN)
+
+    p = sub.add_parser("discretize", parents=[shared], help="build a cut-point scheme for one CSV")
     p.add_argument("input", help="CSV file; class column last")
-    p.add_argument("--method", choices=METHODS, default="sadd")
-    p.add_argument("--n0", type=int, default=DEFAULT_N0)
-    p.add_argument("--bins", type=int, default=DEFAULT_BINS)
     p.add_argument("--schema", help="sidecar schema file (name,kind per line)")
-    p.add_argument("--missing-token", default=MISSING_TOKEN)
     p.add_argument("--output", help="scheme file to write")
     p.add_argument("--diagnostics-out", help="CSV file for the diagnostics table")
     p.set_defaults(func=cmd_discretize)
 
-    p = sub.add_parser("bench", help="cross-validation benchmark")
+    p = sub.add_parser("bench", parents=[shared], help="cross-validation benchmark")
     p.add_argument("manifest", nargs="?", help="manifest JSON file")
     p.add_argument("--dataset", help="single CSV to benchmark (instead of a manifest)")
-    p.add_argument("--method", choices=METHODS, default="sadd")
     p.add_argument("--classifier", choices=CLASSIFIERS, default="nb")
-    p.add_argument("--n0", type=int, default=DEFAULT_N0)
-    p.add_argument("--bins", type=int, default=DEFAULT_BINS)
     p.add_argument("--folds", type=int, help="default: the manifest's, else 10")
     p.add_argument("--seed", type=int, help="default: the manifest's, else 0")
     p.add_argument("--labeled-fraction", type=float, default=1.0)
     p.add_argument("--inductive", action="store_true",
                    help="keep test-row features out of scheme derivation")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--missing-token", default=MISSING_TOKEN)
     p.add_argument("--output-dir", help="default: the manifest's, else results")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("train", help="fit and save scheme+model")
+    p = sub.add_parser("train", parents=[shared], help="fit and save scheme+model")
     p.add_argument("input", help="training CSV")
-    p.add_argument("--method", choices=METHODS, default="sadd")
     p.add_argument("--classifier", choices=CLASSIFIERS, default="rnb")
-    p.add_argument("--n0", type=int, default=DEFAULT_N0)
-    p.add_argument("--bins", type=int, default=DEFAULT_BINS)
     p.add_argument("--max-iter", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--schema", help="sidecar schema file")
-    p.add_argument("--missing-token", default=MISSING_TOKEN)
     p.add_argument("--output", required=True, help="model file to write")
     p.set_defaults(func=cmd_train)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -56,6 +56,7 @@ class Dataset:
 
     Numeric columns are float64 (NaN in missing cells); categorical columns
     are object arrays of tokens. ``missing`` is a (rows, attrs) bool mask.
+    Attribute names are unique: saved models key per-attribute values by name.
     """
 
     names: list[str]
@@ -68,6 +69,9 @@ class Dataset:
         n_attrs = len(self.names)
         if not (len(self.kinds) == len(self.columns) == n_attrs):
             raise ValueError("schema, kinds and columns must align")
+        if len(set(self.names)) != n_attrs:
+            repeated = sorted(name for name, c in Counter(self.names).items() if c > 1)
+            raise ValueError(f"duplicate attribute names: {repeated}")
         n_rows = len(self.labels)
         for name, col in zip(self.names, self.columns):
             if len(col) != n_rows:
@@ -95,9 +99,8 @@ class Dataset:
 
     def subset(self, rows: Sequence[int] | np.ndarray) -> "Dataset":
         rows = np.asarray(rows, dtype=int)
-        return Dataset(
-            names=list(self.names),
-            kinds=list(self.kinds),
+        return replace(
+            self,
             columns=[col[rows] for col in self.columns],
             missing=self.missing[rows],
             labels=self.labels[rows],
@@ -112,9 +115,8 @@ def concat_rows(parts: Sequence[Dataset]) -> Dataset:
     for other in parts[1:]:
         if other.names != first.names or other.kinds != first.kinds:
             raise ValueError("schema mismatch between datasets")
-    return Dataset(
-        names=list(first.names),
-        kinds=list(first.kinds),
+    return replace(
+        first,
         columns=[
             np.concatenate([p.columns[j] for p in parts]) for j in range(first.n_attrs)
         ],
@@ -247,12 +249,8 @@ def fill_missing(data: Dataset, values: Sequence[float | str]) -> Dataset:
         filled = data.columns[j].copy()
         filled[data.missing[:, j]] = fill
         columns.append(filled)
-    return Dataset(
-        names=list(data.names),
-        kinds=list(data.kinds),
-        columns=columns,
-        missing=np.zeros_like(data.missing),
-        labels=data.labels.copy(),
+    return replace(
+        data, columns=columns, missing=np.zeros_like(data.missing), labels=data.labels.copy()
     )
 
 

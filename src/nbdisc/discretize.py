@@ -20,7 +20,7 @@ Both supervised rules read one node table per input.  A node is a row range
 position, the cut value, the gain and the unscaled threshold.  The record
 depends only on the column, the class codes and ``(lo, hi)``, not on the
 rule, so a walk applies ``gain > theta`` (``mdlp``) or
-``gain > sigmoid((hi - lo) / N0) * theta`` (``sadd``) to stored records with
+``gain > sadd_threshold(theta, hi - lo, N0)`` (``sadd``) to stored records with
 the same expressions as a fresh recursion, and every rule's cuts stay
 bit-identical.  A walk evaluates only the nodes its own rule visits, and a
 walk whose nodes are all recorded skips the sort.
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -108,13 +108,8 @@ def information_gain(parent: ClassCounts, cand: CutCandidate) -> float:
     """Entropy reduction of splitting ``parent`` at the candidate cut."""
     if not np.array_equal(parent.counts, cand.left.counts + cand.right.counts):
         raise ValueError("candidate counts inconsistent with parent")
-    n = parent.n
-    gain = (
-        class_entropy(parent)
-        - cand.left.n / n * class_entropy(cand.left)
-        - cand.right.n / n * class_entropy(cand.right)
-    )
-    return max(gain, 0.0)
+    left = cand.left.counts[None, :]
+    return max(float(_cut_gains(parent.counts, left, left.sum(axis=1))[0]), 0.0)
 
 
 def mdlp_threshold(parent: ClassCounts, cand: CutCandidate) -> float:
@@ -129,6 +124,16 @@ def sadd_threshold(theta: float, n: int, n0: int) -> float:
     if n < 1 or n0 < 1:
         raise ValueError("n and n0 must be at least 1")
     return sigmoid(n / n0) * theta
+
+
+def _numeric_column(values: Sequence[float] | np.ndarray) -> np.ndarray:
+    """``values`` as float64; an empty or partly missing column is rejected."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        raise ValueError("empty input")
+    if np.isnan(values).any():
+        raise ValueError("attribute has missing values; impute first")
+    return values
 
 
 # --- vectorized splitting engine -------------------------------------------
@@ -228,11 +233,7 @@ def _partition(
     ``table`` holds the node records of earlier calls on the same values and
     codes, and gains this call's; None starts an empty one.
     """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("cannot partition an empty attribute")
-    if np.isnan(values).any():
-        raise ValueError("attribute has missing values; impute first")
+    values = _numeric_column(values)
     table = {} if table is None else table
     sorted_values = prefix = None
 
@@ -254,7 +255,7 @@ def _partition(
             continue
         pos, cut, gain, theta = node
         if n0 is not None:
-            theta = sigmoid((hi - lo) / n0) * theta
+            theta = sadd_threshold(theta, hi - lo, n0)
         if gain > theta:
             cuts.append(cut)
             stack.append((lo, pos))
@@ -268,13 +269,9 @@ def best_cut(values: Sequence[float] | np.ndarray, labels: Sequence[str]) -> Cut
     Returns None when fewer than two distinct values exist.  Gain ties break
     toward the smallest cut value.
     """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("empty input")
+    values = _numeric_column(values)
     if values.size != len(labels):
         raise ValueError("values and labels must align")
-    if np.isnan(values).any():
-        raise ValueError("attribute has missing values; impute first")
     if np.any(np.diff(values) < 0):
         raise ValueError("values must be sorted ascending")
     codes = class_codes(labels)[1]
@@ -308,11 +305,7 @@ def equal_width(values: Sequence[float] | np.ndarray, bins: int) -> list[float]:
     """bins-1 cuts evenly spaced over [min, max]; empty if the column is constant."""
     if bins < 1:
         raise ValueError("bins must be at least 1")
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("empty input")
-    if np.isnan(values).any():
-        raise ValueError("attribute has missing values; impute first")
+    values = _numeric_column(values)
     vmin, vmax = float(values.min()), float(values.max())
     if vmin == vmax:
         return []
@@ -328,11 +321,7 @@ def equal_frequency(values: Sequence[float] | np.ndarray, bins: int) -> list[flo
     """
     if bins < 1:
         raise ValueError("bins must be at least 1")
-    values = np.sort(np.asarray(values, dtype=float))
-    if values.size == 0:
-        raise ValueError("empty input")
-    if np.isnan(values).any():
-        raise ValueError("attribute has missing values; impute first")
+    values = np.sort(_numeric_column(values))
     distinct = np.unique(values)
     n = values.size
     cuts: set[float] = set()
@@ -429,13 +418,7 @@ def apply_scheme(scheme: DiscretizationScheme, data: Dataset) -> Dataset:
             columns.append(idx.astype(float))
         else:
             columns.append(data.columns[j].copy())
-    return Dataset(
-        names=list(data.names),
-        kinds=list(data.kinds),
-        columns=columns,
-        missing=data.missing.copy(),
-        labels=data.labels.copy(),
-    )
+    return replace(data, columns=columns, missing=data.missing.copy(), labels=data.labels.copy())
 
 
 def mutual_information(
@@ -480,7 +463,7 @@ def threshold_curve(n_values: Iterable[int], n0_list: Sequence[int]) -> list[Thr
         raw = math.log2(n - 1) / n
         rows.append(
             ThresholdCurveRow(
-                n=int(n), raw=raw, scaled=tuple(sigmoid(n / n0) * raw for n0 in n0_list)
+                n=int(n), raw=raw, scaled=tuple(sadd_threshold(raw, n, n0) for n0 in n0_list)
             )
         )
     return rows

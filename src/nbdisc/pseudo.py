@@ -188,21 +188,16 @@ def _nearest_neighbors(
     only those get exact distances from ``_distance_sq``.  The ranking is
     certain when no other row can come within the max_k-th exact distance:
     when its kk-th screen value minus the rounding slack still exceeds it.
-    An uncertain row is ranked over an exact row of all distances.
+    An uncertain row is ranked over an exact row of all distances.  With at
+    most ``max_k + 8`` labeled rows every row is a candidate, so the refine
+    ranks them all.
     """
     n_ref, width = ref.shape
     out = np.empty((len(queries), max_k), dtype=int)
     block = max(1, _BLOCK_ENTRIES // max(n_ref, 1))
     kk = min(n_ref, max_k + _SCREEN_PAD)
     ref = np.asfortranarray(ref)  # so that every block's ref.T is a view, not a copy
-    work = np.empty((2, min(block, len(queries)), n_ref))  # one buffer for all blocks
-    if kk == n_ref:  # every row is a candidate: nothing to screen
-        for start in range(0, len(queries), block):
-            out[start : start + block] = _rank_exact(
-                space, ref, queries[start : start + block], max_k, work
-            )
-        return out
-
+    work = np.empty((2, min(block, len(queries)), n_ref))  # one buffer for every fallback
     ref_factor, query_factor = _screen_vectors(space, ref, queries)
     # Slack, from the dot-product bound |fl(x.y) - x.y| <= gamma_n |x|.|y|
     # (gamma_n = n u / (1 - n u), u = 2**-53, any summation order).  With

@@ -188,6 +188,14 @@ class TestTrainPredict:
         assert "seed must be non-negative" in capsys.readouterr().err
         assert not model_path.exists()
 
+    def test_duplicate_column_names_rejected(self, tmp_path, capsys):
+        data = tmp_path / "dup.csv"
+        data.write_text("a,a,class\n" + "".join(f"{i},{i % 7},{'pq'[i % 2]}\n" for i in range(20)))
+        model_path = tmp_path / "model.json"
+        assert main(["train", str(data), "--output", str(model_path)]) == 2
+        assert "duplicate attribute names: ['a']" in capsys.readouterr().err
+        assert not model_path.exists()
+
     def test_negative_max_iter_rejected(self, separable_csv, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         code = main(["train", str(separable_csv), "--max-iter", "-1", "--output", str(model_path)])

@@ -61,6 +61,13 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="no data rows"):
             load_csv(p)
 
+    def test_duplicate_attribute_names_rejected(self, tmp_path):
+        # a saved model keys each attribute's fill value by name
+        p = tmp_path / "d.csv"
+        p.write_text("a,a,class\n1,2,p\n?,3,q\n")
+        with pytest.raises(ValueError, match=r"duplicate attribute names: \['a'\]"):
+            load_csv(p)
+
     def test_numeric_hint_rejects_tokens(self, tmp_path):
         p = tmp_path / "h.csv"
         p.write_text("x,class\nabc,A\n")

@@ -106,6 +106,26 @@ class TestInformationGain:
             parent = ClassCounts(cand.left.counts + cand.right.counts)
             assert information_gain(parent, cand) >= 0.0
 
+    @given(st.integers(1, 10).flatmap(lambda k: st.lists(
+        st.tuples(st.integers(0, 9), st.integers(0, k - 1)), min_size=2, max_size=150
+    )), st.data())
+    def test_bit_equal_to_the_split_search_gain(self, rows, data):
+        # up to 10 classes: numpy sums 8 or more terms pairwise
+        rows.sort(key=lambda row: row[0])
+        values = np.array([v for v, _ in rows], dtype=float)
+        codes = np.array([c for _, c in rows])
+        prefix = discretize_module._prefix_counts(codes, int(codes.max()) + 1)
+        lo = data.draw(st.integers(0, len(rows) - 2))
+        hi = data.draw(st.integers(lo + 2, len(rows)))
+        found = discretize_module._best_split(values, prefix, lo, hi)
+        if found is None:
+            return
+        pos, gain = found
+        left, right = prefix[pos] - prefix[lo], prefix[hi] - prefix[pos]
+        cand = CutCandidate(values[pos], ClassCounts(left), ClassCounts(right))
+        got = information_gain(ClassCounts(left + right), cand)
+        assert np.float64(got).tobytes() == np.float64(gain).tobytes()
+
 
 class TestMdlpThreshold:
     def test_four_samples_pure_halves(self):

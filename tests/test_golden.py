@@ -1,0 +1,128 @@
+"""Golden outputs: whole output files compared byte for byte.
+
+Each case builds its input with ``benchmarks/gen.py`` (loaded by path),
+runs ``nbdisc`` in process and compares every file it writes with the copy
+under ``tests/golden/<case>/``.  The bench cases are the benchmark's bench
+workloads at seed 0 with 3 folds; ``train-predict`` is that workload's shape
+shrunk to 2000 training and 2000 scored rows.
+
+Float bits may differ between library versions, so the files are only
+valid for the Python, numpy and scipy versions in ``versions.json``.  A
+change that is meant to move output bytes reruns ``tests/golden/regen.py``
+and says which bytes moved and why.
+"""
+
+from __future__ import annotations
+
+import difflib
+import importlib.util
+import json
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+from nbdisc.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+GEN_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "gen.py"
+SEED = 0
+FOLDS = 3
+DIFF_LINES = 60
+
+# case -> (gen.Shape fields, rows, bench configs)
+BENCH_CASES = {
+    "weighted-train": (
+        {"numeric": 12, "categorical": 2, "classes": 5, "missing": 0.02, "separation": 0.35},
+        1800,
+        [{"method": "mdlp", "classifier": c, "max_iter": 100} for c in ("rnb", "wanbia", "cawnb")],
+    ),
+    "semi-supervised": (
+        {"numeric": 6, "categorical": 2, "classes": 4, "missing": 0.05, "separation": 0.8},
+        11000,
+        [{"method": "sadd", "classifier": "nb", "labeled_fraction": 0.3}],
+    ),
+    "large-supervised": (
+        {"numeric": 8, "categorical": 2, "classes": 3, "missing": 0.03, "separation": 0.8},
+        18000,
+        [
+            {"method": "sadd", "classifier": "nb", "pseudo_label": False},
+            {"method": "mdlp", "classifier": "nb"},
+            {"method": "eqf", "classifier": "nb"},
+        ],
+    ),
+}
+# (gen.Shape fields, training rows, scored rows)
+TRAIN_PREDICT = (
+    {"numeric": 10, "categorical": 3, "classes": 6, "missing": 0.03, "separation": 0.8},
+    2000,
+    2000,
+)
+CASES = [*BENCH_CASES, "train-predict"]
+
+
+def _load_gen():
+    spec = importlib.util.spec_from_file_location("nbdisc_bench_gen", GEN_PATH)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # dataclasses look their module up in sys.modules
+    return module
+
+
+gen = _load_gen()
+
+
+def versions() -> dict[str, str]:
+    return {
+        "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__
+    }
+
+
+def produce(case: str, work: Path) -> dict[str, bytes]:
+    """Run ``case`` in ``work`` and return its output files by name."""
+    data = work / "data.csv"
+    if case == "train-predict":
+        shape, rows, scored = TRAIN_PREDICT
+        score, model, preds = work / "score.csv", work / "model.json", work / "preds.csv"
+        gen.write(data, gen.generate(gen.Shape(**shape), rows, SEED))
+        gen.write(score, gen.generate(gen.Shape(**shape), scored, SEED, stream=1))
+        assert main(["train", str(data), "--method", "sadd", "--classifier", "nb",
+                     "--output", str(model)]) == 0
+        assert main(["predict", str(model), str(score), "--output", str(preds)]) == 0
+        outputs = [model, preds]
+    else:
+        shape, rows, configs = BENCH_CASES[case]
+        gen.write(data, gen.generate(gen.Shape(**shape), rows, SEED))
+        manifest = work / "manifest.json"
+        manifest.write_text(json.dumps({
+            "seed": SEED,
+            "folds": FOLDS,
+            "output_dir": str(work / "out"),
+            "datasets": [{"name": case, "path": str(data)}],
+            "configs": configs,
+        }))
+        assert main(["bench", str(manifest), "--jobs", "1"]) == 0
+        outputs = [work / "out" / "results.json", work / "out" / "results.txt"]
+    return {path.name: path.read_bytes() for path in outputs}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_outputs_match_golden_files(case, tmp_path):
+    recorded = json.loads((GOLDEN / "versions.json").read_text())
+    if recorded != versions():
+        pytest.fail(f"golden files were made with {recorded}, this run has {versions()}")
+    got = produce(case, tmp_path)
+    want = {path.name: path.read_bytes() for path in (GOLDEN / case).iterdir()}
+    assert sorted(got) == sorted(want)
+    for name, data in got.items():
+        if data != want[name]:
+            diff = difflib.unified_diff(
+                want[name].decode().splitlines(), data.decode().splitlines(),
+                f"golden/{case}/{name}", f"{case}/{name}", lineterm="",
+            )
+            shown = list(diff)
+            if len(shown) > DIFF_LINES:
+                shown[DIFF_LINES:] = [f"... {len(shown) - DIFF_LINES} more diff lines"]
+            pytest.fail(f"{case}/{name} differs from its golden file:\n" + "\n".join(shown))
