@@ -190,7 +190,7 @@ def _nearest_neighbors(
     when its kk-th screen value minus the rounding slack still exceeds it.
     An uncertain row is ranked over an exact row of all distances.  With at
     most ``max_k + 8`` labeled rows every row is a candidate, so the refine
-    ranks them all.
+    ranks them all and the certificate is skipped.
     """
     n_ref, width = ref.shape
     out = np.empty((len(queries), max_k), dtype=int)
@@ -218,13 +218,15 @@ def _nearest_neighbors(
         rows = slice(start, stop)
         dist = np.matmul(query_factor[rows], ref_factor, out=screen[: stop - start])
         cand = np.argpartition(dist, kk - 1, axis=1)[:, :kk]
-        bound = np.take_along_axis(dist, cand[:, kk - 1 :], axis=1)[:, 0] - slack[rows]
         # (kk, n_block, width) whose transpose is contiguous: _distance_sq
         # reads each candidate's columns in order, as for a full row
         stack = ref.T[:, cand].T
         exact = _distance_sq(space, stack, queries[rows], cand_work)
         order = np.lexsort((cand, exact))[:, :max_k]
         out[rows] = np.take_along_axis(cand, order, axis=1)
+        if kk == n_ref:
+            continue  # every row was a candidate, so the lexsort ranked them all
+        bound = np.take_along_axis(dist, cand[:, kk - 1 :], axis=1)[:, 0] - slack[rows]
         kth = np.take_along_axis(exact, order[:, -1:], axis=1)[:, 0]
         unsure = np.flatnonzero(bound <= kth)
         if unsure.size:

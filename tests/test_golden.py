@@ -1,10 +1,12 @@
 """Golden outputs: whole output files compared byte for byte.
 
-Each case builds its input with ``benchmarks/gen.py`` (loaded by path),
-runs ``nbdisc`` in process and compares every file it writes with the copy
-under ``tests/golden/<case>/``.  The bench cases are the benchmark's bench
-workloads at seed 0 with 3 folds; ``train-predict`` is that workload's shape
-shrunk to 2000 training and 2000 scored rows.
+Each case runs ``nbdisc`` in process and compares every file it writes
+with the copy under ``tests/golden/<case>/``.  The bench cases are the
+benchmark's bench workloads at seed 0 with 3 folds, their input built with
+``benchmarks/gen.py`` (loaded by path); ``train-predict`` is that workload's
+shape shrunk to 2000 training and 2000 scored rows.  ``iris`` runs both
+supervised discretizers with every classifier on ``tests/data/iris.csv``,
+plus ``sadd+rnb`` at labeled fraction 0.3, and is also run with ``--jobs 2``.
 
 Float bits may differ between library versions, so the files are only
 valid for the Python, numpy and scipy versions in ``versions.json``.  A
@@ -29,6 +31,7 @@ from nbdisc.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 GEN_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "gen.py"
+IRIS = Path(__file__).parent / "data" / "iris.csv"
 SEED = 0
 FOLDS = 3
 DIFF_LINES = 60
@@ -55,13 +58,18 @@ BENCH_CASES = {
         ],
     ),
 }
+IRIS_CONFIGS = [
+    *({"method": m, "classifier": c} for m in ("mdlp", "sadd")
+      for c in ("nb", "wanbia", "cawnb", "rnb")),
+    {"method": "sadd", "classifier": "rnb", "labeled_fraction": 0.3},
+]
 # (gen.Shape fields, training rows, scored rows)
 TRAIN_PREDICT = (
     {"numeric": 10, "categorical": 3, "classes": 6, "missing": 0.03, "separation": 0.8},
     2000,
     2000,
 )
-CASES = [*BENCH_CASES, "train-predict"]
+CASES = [*BENCH_CASES, "train-predict", "iris"]
 
 
 def _load_gen():
@@ -80,7 +88,7 @@ def versions() -> dict[str, str]:
     }
 
 
-def produce(case: str, work: Path) -> dict[str, bytes]:
+def produce(case: str, work: Path, jobs: int = 1) -> dict[str, bytes]:
     """Run ``case`` in ``work`` and return its output files by name."""
     data = work / "data.csv"
     if case == "train-predict":
@@ -93,8 +101,11 @@ def produce(case: str, work: Path) -> dict[str, bytes]:
         assert main(["predict", str(model), str(score), "--output", str(preds)]) == 0
         outputs = [model, preds]
     else:
-        shape, rows, configs = BENCH_CASES[case]
-        gen.write(data, gen.generate(gen.Shape(**shape), rows, SEED))
+        if case == "iris":
+            data, configs = IRIS, IRIS_CONFIGS
+        else:
+            shape, rows, configs = BENCH_CASES[case]
+            gen.write(data, gen.generate(gen.Shape(**shape), rows, SEED))
         manifest = work / "manifest.json"
         manifest.write_text(json.dumps({
             "seed": SEED,
@@ -103,17 +114,15 @@ def produce(case: str, work: Path) -> dict[str, bytes]:
             "datasets": [{"name": case, "path": str(data)}],
             "configs": configs,
         }))
-        assert main(["bench", str(manifest), "--jobs", "1"]) == 0
+        assert main(["bench", str(manifest), "--jobs", str(jobs)]) == 0
         outputs = [work / "out" / "results.json", work / "out" / "results.txt"]
     return {path.name: path.read_bytes() for path in outputs}
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_outputs_match_golden_files(case, tmp_path):
+def _assert_golden(case: str, got: dict[str, bytes]) -> None:
     recorded = json.loads((GOLDEN / "versions.json").read_text())
     if recorded != versions():
         pytest.fail(f"golden files were made with {recorded}, this run has {versions()}")
-    got = produce(case, tmp_path)
     want = {path.name: path.read_bytes() for path in (GOLDEN / case).iterdir()}
     assert sorted(got) == sorted(want)
     for name, data in got.items():
@@ -126,3 +135,12 @@ def test_outputs_match_golden_files(case, tmp_path):
             if len(shown) > DIFF_LINES:
                 shown[DIFF_LINES:] = [f"... {len(shown) - DIFF_LINES} more diff lines"]
             pytest.fail(f"{case}/{name} differs from its golden file:\n" + "\n".join(shown))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_outputs_match_golden_files(case, tmp_path):
+    _assert_golden(case, produce(case, tmp_path))
+
+
+def test_iris_outputs_match_golden_files_with_two_jobs(tmp_path):
+    _assert_golden("iris", produce("iris", tmp_path, jobs=2))

@@ -137,6 +137,20 @@ class TestKnnPredict:
             assert knn_predict(ref * 7.5, labels, q * 7.5, KnnConfig(3)) == base
 
 
+@pytest.fixture
+def fallback_rows(monkeypatch):
+    """Row counts of every ``_rank_exact`` fallback call, in call order."""
+    rows = []
+    real = pseudo._rank_exact
+
+    def counting(space, ref, queries, max_k, work):
+        rows.append(len(queries))
+        return real(space, ref, queries, max_k, work)
+
+    monkeypatch.setattr(pseudo, "_rank_exact", counting)
+    return rows
+
+
 class TestNearestNeighbors:
     def test_partition_path_matches_stable_sort_prefix(self):
         # the top-k selection must reproduce the stable-argsort prefix even
@@ -234,15 +248,7 @@ class TestNearestNeighbors:
         got = _nearest_neighbors(space, ref, np.zeros((3, 2)), 4)
         assert got.tolist() == [[0, 1, 2, 3]] * 3
 
-    def test_fallback_only_where_the_screen_cannot_certify(self, monkeypatch):
-        fallback_rows = []
-        real = pseudo._rank_exact
-
-        def counting(space, ref, queries, max_k, work):
-            fallback_rows.append(len(queries))
-            return real(space, ref, queries, max_k, work)
-
-        monkeypatch.setattr(pseudo, "_rank_exact", counting)
+    def test_fallback_only_where_the_screen_cannot_certify(self, fallback_rows):
         rng = np.random.default_rng(5)
         space = _all_numeric_space(3)
         centers = np.repeat([[0.0, 0.0, 0.0], [8.0, 8.0, 8.0]], 300, axis=0)
@@ -253,6 +259,16 @@ class TestNearestNeighbors:
         grid = 1e8 + rng.integers(0, 4, (600, 2))  # screen error far above the distances
         _nearest_neighbors(_all_numeric_space(2), grid, grid[:50], 5)
         assert sum(fallback_rows) > 0
+
+    @pytest.mark.parametrize("pad", [0, 8])
+    def test_no_fallback_when_every_row_is_a_candidate(self, fallback_rows, pad):
+        rng = np.random.default_rng(7)
+        max_k = 12
+        ref = rng.integers(0, 3, (max_k + pad, 2)).astype(float)  # with distance ties
+        queries = rng.integers(0, 3, (60, 2)).astype(float)
+        got = _nearest_neighbors(_all_numeric_space(2), ref, queries, max_k)
+        assert sum(fallback_rows) == 0
+        assert got.tolist() == [brute_force_neighbors(ref, q, max_k) for q in queries]
 
     @given(grid_problems(), st.integers(2, 4))
     def test_prefix_votes_match_brute_force_knn(self, problem, n_classes):

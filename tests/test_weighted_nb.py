@@ -26,6 +26,8 @@ from nbdisc.weighted_nb import (
     _grad,
     _log_likelihoods,
     _posteriors,
+    _row_max,
+    _row_sum,
     _softmax,
     _targets,
     categorical_vocab,
@@ -227,6 +229,21 @@ class TestOneBranchKernel:
             assert grad[2] == 0.0
 
 
+class TestClassAxisReductions:
+    """The column-loop reductions equal numpy's, bit for bit."""
+
+    @given(n_classes=st.integers(1, 12), n=st.integers(0, 50), seed=st.integers(0, 2**32 - 1))
+    def test_match_numpy_bits(self, n_classes, n, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.choice([-1.0, 1.0], (n, n_classes)) * 10.0 ** rng.uniform(-8, 8, (n, n_classes))
+        special = rng.random((n, n_classes)) < 0.2
+        a[special] = rng.choice([-0.0, math.inf, -math.inf, math.nan], special.sum())
+        a = np.vstack([a, np.full((1, n_classes), -0.0)])  # an all -0.0 row sums to +0.0
+        with np.errstate(invalid="ignore"):
+            assert _row_max(a).tobytes() == a.max(axis=1).tobytes()
+            assert _row_sum(a).tobytes() == a.sum(axis=1).tobytes()
+
+
 class TestObjective:
     def test_uniform_posterior_two_classes(self):
         # identical conditionals and balanced priors make every posterior
@@ -381,6 +398,11 @@ class TestTrainers:
             ("min_step", -1e-12),
             ("min_step", math.inf),
             ("max_iter", -1),
+            ("armijo_c", 0.0),
+            ("armijo_c", 1.0),
+            ("armijo_c", -1.0),
+            ("armijo_c", math.nan),
+            ("armijo_c", math.inf),
         ],
     )
     def test_bad_options_rejected(self, name, value):
