@@ -17,7 +17,8 @@ A bench manifest is a JSON file:
       "configs": [{"method": "sadd", "classifier": "nb"}]
     }
 
-Config entries take any PipelineConfig field; omitted fields use defaults
+Config entries take any PipelineConfig field, with a value of its JSON type
+(a string seed or a null k_grid is a usage error); omitted fields use defaults
 and the fully resolved configuration is echoed into the results file along
 with the seed and a per-config hash, so reruns are byte-identical.  The
 ``--seed``, ``--folds`` and ``--output-dir`` flags, when given, win over the
@@ -88,6 +89,8 @@ def cmd_discretize(args: argparse.Namespace) -> int:
 def _manifest_from_args(args: argparse.Namespace) -> dict:
     if args.manifest:
         manifest = json.loads(Path(args.manifest).read_text())
+        if not isinstance(manifest, dict):
+            raise ValueError(f"{args.manifest}: a manifest must be a JSON object")
     else:
         if not args.dataset:
             raise ValueError("either a manifest or --dataset is required")
@@ -104,13 +107,23 @@ def _manifest_from_args(args: argparse.Namespace) -> dict:
                 }
             ],
         }
-    if not manifest.get("datasets") or not manifest.get("configs"):
+    datasets, configs = manifest.get("datasets"), manifest.get("configs")
+    if not datasets or not configs:
         raise ValueError("manifest needs at least one dataset and one config")
+    if not isinstance(datasets, list) or not isinstance(configs, list):
+        raise ValueError('manifest "datasets" and "configs" must be lists')
+    if not all(isinstance(entry, dict) and isinstance(entry.get("name"), str)
+               and isinstance(entry.get("path"), str) for entry in datasets):
+        raise ValueError('each manifest dataset needs a string "name" and "path"')
+    if not all(isinstance(entry, dict) for entry in configs):
+        raise ValueError("each manifest config must be a JSON object")
     # a flag given on the command line wins over the manifest's value
     for key, flag, default in (("seed", args.seed, 0), ("folds", args.folds, 10),
                                ("output_dir", args.output_dir, "results")):
         manifest[key] = manifest.get(key, default) if flag is None else flag
-    if int(manifest["folds"]) < 2:
+        if type(manifest[key]) is not type(default):
+            raise ValueError(f"manifest {key!r} has a value of the wrong type: {manifest[key]!r}")
+    if manifest["folds"] < 2:
         raise ValueError("folds must be at least 2")
     return manifest
 
@@ -130,8 +143,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
     manifest = _manifest_from_args(args)
-    seed = int(manifest["seed"])
-    folds = int(manifest["folds"])
+    seed, folds = manifest["seed"], manifest["folds"]
     configs = [config_from_dict({"seed": seed, **doc}) for doc in manifest["configs"]]
     out_dir = Path(manifest["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -16,6 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -37,6 +38,16 @@ def _parse_finite(cell: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def _token_codes(
+    tokens: Sequence[str] | np.ndarray, vocab: Sequence[str], unknown: int | None = None
+) -> np.ndarray:
+    """Index of each token in ``vocab``; one outside it gets ``unknown``, or KeyError if None."""
+    tokens = tokens.tolist() if isinstance(tokens, np.ndarray) else tokens
+    index = {tok: i for i, tok in enumerate(vocab)}
+    args = (index.__getitem__, tokens) if unknown is None else (index.get, tokens, repeat(unknown))
+    return np.fromiter(map(*args), dtype=np.intp, count=len(tokens))
+
+
 def class_codes(labels: Sequence[str] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct labels (object array) and each row's index into them.
 
@@ -45,9 +56,7 @@ def class_codes(labels: Sequence[str] | np.ndarray) -> tuple[np.ndarray, np.ndar
     """
     tokens = np.asarray(labels, dtype=object).tolist()
     classes = sorted(set(tokens))
-    index = {cls: i for i, cls in enumerate(classes)}
-    codes = np.fromiter(map(index.__getitem__, tokens), dtype=np.intp, count=len(tokens))
-    return np.array(classes, dtype=object), codes
+    return np.array(classes, dtype=object), _token_codes(tokens, classes)
 
 
 @dataclass
@@ -89,7 +98,7 @@ class Dataset:
 
     @property
     def classes(self) -> list[str]:
-        return sorted(set(self.labels.tolist()))
+        return class_codes(self.labels)[0].tolist()
 
     def numeric_attrs(self) -> list[int]:
         return [j for j, k in enumerate(self.kinds) if k is AttributeKind.NUMERIC]
@@ -234,9 +243,8 @@ def imputation_values(reference: Dataset) -> list[float | str]:
         if kind is AttributeKind.NUMERIC:
             values.append(float(present.mean()))
         else:
-            counts = Counter(present.tolist())
-            top = max(counts.values())
-            values.append(min(tok for tok, c in counts.items() if c == top))
+            tokens, codes = class_codes(present)
+            values.append(tokens[np.bincount(codes).argmax()])  # first max: smallest token
     return values
 
 

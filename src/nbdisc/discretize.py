@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import AttributeKind, Dataset, class_codes
+from .data import AttributeKind, Dataset, _token_codes, class_codes
 
 METHODS = ("mdlp", "sadd", "eqw", "eqf")
 DEFAULT_N0 = 2000
@@ -70,10 +70,9 @@ class ClassCounts:
 
     @classmethod
     def from_labels(cls, labels: Sequence[str], classes: Sequence[str] | None = None) -> "ClassCounts":
-        found, codes = class_codes(labels)
-        counts = np.bincount(codes, minlength=len(found)).tolist()
-        by_class = dict(zip(found.tolist(), counts))
-        return cls(counts if classes is None else [by_class.get(c, 0) for c in classes])
+        vocab = class_codes(labels)[0] if classes is None else classes
+        codes = _token_codes(labels, vocab, unknown=len(vocab))  # labels outside are dropped
+        return cls(np.bincount(codes, minlength=len(vocab) + 1)[:-1])
 
     @property
     def n(self) -> int:

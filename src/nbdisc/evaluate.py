@@ -534,14 +534,27 @@ def config_to_dict(config: PipelineConfig) -> dict:
     return doc
 
 
+def _json_type_matches(value, default) -> bool:
+    """Whether a JSON value has the type of the config field with this default."""
+    if default is None:  # pseudo_label
+        return value is None or isinstance(value, bool)
+    if isinstance(default, tuple):  # k_grid
+        return isinstance(value, (list, tuple)) and all(_json_type_matches(v, default[0]) for v in value)
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
+
+
 def config_from_dict(doc: dict) -> PipelineConfig:
-    doc = dict(doc)
-    doc["k_grid"] = tuple(doc.get("k_grid", DEFAULT_K_GRID))
-    known = {f.name for f in fields(PipelineConfig)}
-    unknown = sorted(set(doc) - known)
+    """The config a JSON object describes; an unknown or mistyped field raises ValueError."""
+    defaults = {f.name: f.default for f in fields(PipelineConfig)}
+    unknown = sorted(set(doc) - set(defaults))
     if unknown:
         raise ValueError(f"unknown config fields: {unknown}")
-    return PipelineConfig(**doc)
+    for name, value in doc.items():
+        if not _json_type_matches(value, defaults[name]):
+            raise ValueError(f"config field {name!r} has a value of the wrong type: {value!r}")
+    return PipelineConfig(**{**doc, "k_grid": tuple(doc.get("k_grid", DEFAULT_K_GRID))})
 
 
 def config_hash(config: PipelineConfig) -> str:

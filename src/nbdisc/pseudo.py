@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import AttributeKind, Dataset, class_codes, stratified_folds
+from .data import AttributeKind, Dataset, _token_codes, class_codes, stratified_folds
 
 DEFAULT_K_GRID: tuple[int, ...] = tuple(range(1, 32, 2))
 _BLOCK_ENTRIES = 1 << 16  # distances per ranking block: a cache-sized (n_queries, n_ref) slab
@@ -56,6 +56,8 @@ class FeatureSpace:
 
     @classmethod
     def fit(cls, labeled: Dataset) -> "FeatureSpace":
+        if labeled.n_rows == 0:
+            raise ValueError("no labeled rows")
         if labeled.missing.any():
             raise ValueError("labeled data has missing values; impute first")
         num = tuple(labeled.numeric_attrs())
@@ -86,10 +88,8 @@ class FeatureSpace:
             else:
                 parts.append(np.zeros_like(col))
         for pos, j in enumerate(self.categorical_idx):
-            lookup = {tok: i for i, tok in enumerate(self.vocab[pos])}
-            parts.append(
-                np.array([lookup.get(tok, len(lookup)) for tok in data.columns[j]], dtype=float)
-            )
+            vocab = self.vocab[pos]
+            parts.append(_token_codes(data.columns[j], vocab, unknown=len(vocab)).astype(float))
         if not parts:
             return np.zeros((data.n_rows, 0))
         return np.column_stack(parts)
@@ -189,15 +189,20 @@ def _nearest_neighbors(
     certain when no other row can come within the max_k-th exact distance:
     when its kk-th screen value minus the rounding slack still exceeds it.
     An uncertain row is ranked over an exact row of all distances.  With at
-    most ``max_k + 8`` labeled rows every row is a candidate, so the refine
-    ranks them all and the certificate is skipped.
+    most ``max_k + 8`` labeled rows every row is a candidate, so nothing is
+    screened: each query's exact distances to all rows are ranked directly.
     """
     n_ref, width = ref.shape
     out = np.empty((len(queries), max_k), dtype=int)
     block = max(1, _BLOCK_ENTRIES // max(n_ref, 1))
     kk = min(n_ref, max_k + _SCREEN_PAD)
     ref = np.asfortranarray(ref)  # so that every block's ref.T is a view, not a copy
-    work = np.empty((2, min(block, len(queries)), n_ref))  # one buffer for every fallback
+    work = np.empty((2, min(block, len(queries)), n_ref))  # for every exact row of all distances
+    if kk == n_ref:
+        for start in range(0, len(queries), block):
+            exact = _distance_sq(space, ref, queries[start : start + block], work)
+            out[start : start + block] = np.argsort(exact, axis=1, kind="stable")[:, :max_k]
+        return out
     ref_factor, query_factor = _screen_vectors(space, ref, queries)
     # Slack, from the dot-product bound |fl(x.y) - x.y| <= gamma_n |x|.|y|
     # (gamma_n = n u / (1 - n u), u = 2**-53, any summation order).  With
@@ -224,8 +229,6 @@ def _nearest_neighbors(
         exact = _distance_sq(space, stack, queries[rows], cand_work)
         order = np.lexsort((cand, exact))[:, :max_k]
         out[rows] = np.take_along_axis(cand, order, axis=1)
-        if kk == n_ref:
-            continue  # every row was a candidate, so the lexsort ranked them all
         bound = np.take_along_axis(dist, cand[:, kk - 1 :], axis=1)[:, 0] - slack[rows]
         kth = np.take_along_axis(exact, order[:, -1:], axis=1)[:, 0]
         unsure = np.flatnonzero(bound <= kth)

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import AttributeKind, Dataset, class_codes
+from .data import AttributeKind, Dataset, _token_codes, class_codes
 from .discretize import DiscretizationScheme, sigmoid
 
 
@@ -59,14 +59,10 @@ class DiscreteTable:
 
 def categorical_vocab(datasets: Sequence[Dataset]) -> dict[int, list[str]]:
     """Sorted category vocabulary per categorical attribute, pooled over inputs."""
-    first = datasets[0]
-    vocab: dict[int, list[str]] = {}
-    for j in first.categorical_attrs():
-        tokens: set[str] = set()
-        for ds in datasets:
-            tokens.update(ds.columns[j].tolist())
-        vocab[j] = sorted(tokens)
-    return vocab
+    return {
+        j: sorted(set().union(*(ds.columns[j].tolist() for ds in datasets)))
+        for j in datasets[0].categorical_attrs()
+    }
 
 
 def encode_discrete(
@@ -82,10 +78,7 @@ def encode_discrete(
             columns.append(disc.columns[j].astype(np.int64))
             arity.append(scheme.n_intervals(j))
         else:
-            lookup = {tok: i for i, tok in enumerate(vocab[j])}
-            columns.append(
-                np.array([lookup.get(tok, -1) for tok in disc.columns[j]], dtype=np.int64)
-            )
+            columns.append(_token_codes(disc.columns[j], vocab[j], unknown=-1))
             arity.append(len(vocab[j]))
     return DiscreteTable(
         x=np.column_stack(columns) if columns else np.zeros((disc.n_rows, 0), dtype=np.int64),
@@ -273,7 +266,7 @@ def predict(model: NbModel, params: WeightedParams, x: Sequence[int] | np.ndarra
 
 def predict_batch(model: NbModel, params: WeightedParams, x: np.ndarray) -> np.ndarray:
     posterior = posterior_batch(model, params, x)
-    return np.array([model.classes[i] for i in posterior.argmax(axis=1)], dtype=object)
+    return np.array(model.classes, dtype=object)[posterior.argmax(axis=1)]
 
 
 # --- posterior-matching objective -------------------------------------------
@@ -281,9 +274,8 @@ def predict_batch(model: NbModel, params: WeightedParams, x: np.ndarray) -> np.n
 
 def _targets(model: NbModel, labels: Sequence[str] | np.ndarray) -> np.ndarray:
     """One-hot (n, C) targets; a label outside ``model.classes`` raises ValueError."""
-    index = {c: i for i, c in enumerate(model.classes)}
     try:
-        codes = [index[t] for t in np.asarray(labels, dtype=object)]
+        codes = _token_codes(labels, model.classes)
     except KeyError as exc:
         raise ValueError(f"label {exc.args[0]!r} is not a model class") from None
     return np.eye(model.n_classes)[codes]

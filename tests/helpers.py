@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -47,6 +48,25 @@ def make_dataset(columns, labels, kinds=None, missing=None):
         missing=mask,
         labels=np.asarray(labels, dtype=object),
     )
+
+
+def dict_codes(tokens, vocab, unknown=None):
+    """Each token's position in ``vocab`` by a plain dict lookup.
+
+    A token outside ``vocab`` gets ``unknown``; with ``unknown`` None it
+    raises ``KeyError``.
+    """
+    index = dict(zip(vocab, range(len(vocab))))
+    if unknown is None:
+        return [index[tok] for tok in tokens]
+    return [index.get(tok, unknown) for tok in tokens]
+
+
+def counter_mode(tokens):
+    """Most frequent token; a tie goes to the smallest of the tied tokens."""
+    counts = Counter(tokens)
+    top = max(counts.values())
+    return min(tok for tok, c in counts.items() if c == top)
 
 
 def entropy_bits(counts) -> float:

@@ -14,6 +14,7 @@ import pytest
 from helpers import count_node_evaluations
 
 import nbdisc
+from nbdisc import cli
 from nbdisc.cli import main
 from nbdisc.discretize import load_scheme
 from nbdisc.evaluate import PipelineConfig, config_from_dict, config_hash, fit_pipeline
@@ -240,6 +241,32 @@ class TestBenchCommand:
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"datasets": [], "configs": []}))
         assert main(["bench", str(path)]) == 2
+
+    @pytest.mark.parametrize("change", [
+        lambda m: [m],
+        lambda m: {**m, "datasets": "abc"},
+        lambda m: {**m, "configs": 5},
+        lambda m: {**m, "configs": [1]},
+        lambda m: {**m, "configs": [{"k_grid": None}]},
+        lambda m: {**m, "configs": [{"labeled_fraction": "0.5"}]},
+        lambda m: {**m, "configs": [{"seed": "1"}]},
+        lambda m: {**m, "output_dir": 5},
+        lambda m: {**m, "folds": 2.9},
+        lambda m: {**m, "seed": True},
+    ], ids=["list", "datasets-string", "configs-number", "config-number", "k_grid-null",
+            "labeled_fraction-string", "seed-string", "output_dir-number", "folds-float",
+            "seed-bool"])
+    def test_malformed_manifest_usage_error(
+        self, change, iris_path, tmp_path, capsys, monkeypatch
+    ):
+        loads = []
+        monkeypatch.setattr(cli, "_load_dataset", lambda *args: loads.append(args))
+        manifest = write_manifest(tmp_path, iris_path, [{"method": "mdlp"}])
+        manifest.write_text(json.dumps(change(json.loads(manifest.read_text()))))
+        assert main(["bench", str(manifest)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert loads == []
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_config_field_usage_error(self, iris_path, tmp_path, capsys):
         manifest = write_manifest(

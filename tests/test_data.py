@@ -2,15 +2,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from helpers import make_dataset
+from helpers import counter_mode, dict_codes, make_dataset
 
 import nbdisc.data as data_module
 from nbdisc.data import (
     AttributeKind,
+    _token_codes,
     class_codes,
+    imputation_values,
     concat_rows,
     impute_missing,
     load_csv,
@@ -162,6 +164,18 @@ class TestImpute:
         with pytest.raises(ValueError, match="entirely missing"):
             impute_missing(data, data)
 
+    @given(st.lists(st.tuples(st.sampled_from("abcd"), st.booleans()), min_size=1, max_size=30))
+    @example([("b", False), ("a", False), ("b", False), ("a", False), ("b", True)])
+    @example([("d", False), ("c", False), ("c", False), ("d", False), ("a", False)])
+    def test_mode_equals_counter_rule(self, cells):
+        present = [token for token, missing in cells if not missing]
+        assume(present)
+        data = make_dataset(
+            {"c": [token for token, _ in cells]}, ["A"] * len(cells),
+            missing=[(i, 0) for i, (_, missing) in enumerate(cells) if missing],
+        )
+        assert imputation_values(data) == [counter_mode(present)]
+
 
 class TestClassCodes:
     @given(
@@ -178,6 +192,31 @@ class TestClassCodes:
         assert classes.dtype == object and codes.dtype == np.intp
         assert classes.tolist() == want_classes.tolist()
         assert np.array_equal(codes, want_codes)
+
+
+TOKENS = st.sampled_from(["", "A", "a", "é", "日本", "A "])
+
+
+class TestTokenCodes:
+    @given(
+        st.lists(TOKENS, unique=True, max_size=6),
+        st.lists(TOKENS, max_size=30),
+        st.one_of(st.none(), st.integers(-2, 8)),
+        st.booleans(),
+    )
+    @example(["a"], ["a", "b"], None, True)
+    @example(["a", "b"], ["b", "z", "a"], -1, False)
+    def test_equals_dict_oracle(self, vocab, tokens, unknown, as_array):
+        given_tokens = np.asarray(tokens, dtype=object) if as_array else tokens
+        try:
+            want = dict_codes(tokens, vocab, unknown)
+        except KeyError as missing:
+            with pytest.raises(KeyError) as raised:
+                _token_codes(given_tokens, vocab, unknown)
+            assert raised.value.args == missing.args
+            return
+        got = _token_codes(given_tokens, vocab, unknown)
+        assert got.dtype == np.intp and got.tolist() == want
 
 
 class TestStratifiedFolds:

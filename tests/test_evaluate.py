@@ -135,6 +135,18 @@ class TestPipelineConfig:
         assert config_from_dict(config_to_dict(config)) == config
         assert config_hash(config) == config_hash(config)
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", "1"), ("seed", True), ("n0", 2.5), ("transductive", 1),
+        ("labeled_fraction", "0.5"), ("k_grid", None), ("k_grid", [1, "3"]), ("pseudo_label", 0),
+    ])
+    def test_mistyped_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"config field '{field}'"):
+            config_from_dict({field: value})
+
+    def test_json_numbers_and_lists_accepted(self):
+        doc = {"labeled_fraction": 1, "tol": 0, "k_grid": [1, 3], "pseudo_label": None}
+        assert config_from_dict(doc) == PipelineConfig(labeled_fraction=1.0, tol=0.0, k_grid=(1, 3))
+
 
 class TestRunFold:
     def test_basic_mdlp_fold(self, iris):

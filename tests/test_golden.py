@@ -7,6 +7,9 @@ benchmark's bench workloads at seed 0 with 3 folds, their input built with
 shape shrunk to 2000 training and 2000 scored rows.  ``iris`` runs both
 supervised discretizers with every classifier on ``tests/data/iris.csv``,
 plus ``sadd+rnb`` at labeled fraction 0.3, and is also run with ``--jobs 2``.
+``discretize`` runs ``nbdisc discretize`` on iris with ``sadd`` and ``mdlp``
+and keeps the scheme, the diagnostics CSV and stdout of each; ``curve`` keeps
+the stdout of ``nbdisc curve`` with its default arguments.
 
 Float bits may differ between library versions, so the files are only
 valid for the Python, numpy and scipy versions in ``versions.json``.  A
@@ -18,9 +21,11 @@ from __future__ import annotations
 
 import difflib
 import importlib.util
+import io
 import json
 import platform
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +74,7 @@ TRAIN_PREDICT = (
     2000,
     2000,
 )
-CASES = [*BENCH_CASES, "train-predict", "iris"]
+CASES = [*BENCH_CASES, "train-predict", "iris", "discretize", "curve"]
 
 
 def _load_gen():
@@ -88,9 +93,28 @@ def versions() -> dict[str, str]:
     }
 
 
+def _stdout_of(argv: list[str]) -> bytes:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue().encode()
+
+
 def produce(case: str, work: Path, jobs: int = 1) -> dict[str, bytes]:
     """Run ``case`` in ``work`` and return its output files by name."""
     data = work / "data.csv"
+    if case == "curve":
+        return {"curve.csv": _stdout_of(["curve"])}
+    if case == "discretize":
+        files = {}
+        for method in ("sadd", "mdlp"):
+            scheme, diag = work / f"{method}.scheme.json", work / f"{method}.diagnostics.csv"
+            files[f"{method}.stdout.txt"] = _stdout_of(
+                ["discretize", str(IRIS), "--method", method,
+                 "--output", str(scheme), "--diagnostics-out", str(diag)]
+            )
+            files.update({path.name: path.read_bytes() for path in (scheme, diag)})
+        return files
     if case == "train-predict":
         shape, rows, scored = TRAIN_PREDICT
         score, model, preds = work / "score.csv", work / "model.json", work / "preds.csv"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,25 @@ class TestNearestNeighbors:
         assert sum(fallback_rows) == 0
         assert got.tolist() == [brute_force_neighbors(ref, q, max_k) for q in queries]
 
+    @pytest.mark.parametrize("pad", [0, 8, 9])
+    def test_no_screen_when_every_row_is_a_candidate(self, monkeypatch, pad):
+        max_k = 12
+        screened = []
+        real = pseudo._screen_vectors
+
+        def screen(space, ref, queries):
+            assert len(ref) > max_k + 8, "screened although every row is a candidate"
+            screened.append(len(ref))
+            return real(space, ref, queries)
+
+        monkeypatch.setattr(pseudo, "_screen_vectors", screen)
+        rng = np.random.default_rng(7)
+        ref = rng.integers(0, 3, (max_k + pad, 2)).astype(float)  # with distance ties
+        queries = rng.integers(0, 3, (60, 2)).astype(float)
+        got = _nearest_neighbors(_all_numeric_space(2), ref, queries, max_k)
+        assert got.tolist() == [brute_force_neighbors(ref, q, max_k) for q in queries]
+        assert screened == ([max_k + pad] if pad > 8 else [])
+
     @given(grid_problems(), st.integers(2, 4))
     def test_prefix_votes_match_brute_force_knn(self, problem, n_classes):
         n_numeric, n_categorical, ref, queries, k = problem
@@ -315,6 +335,14 @@ class TestFeatureSpace:
         data = make_dataset({"x": [1.0, np.nan]}, ["A", "B"], missing=[(1, 0)])
         with pytest.raises(ValueError, match="impute"):
             FeatureSpace.fit(data)
+
+    def test_no_labeled_rows_rejected_before_any_statistic(self):
+        labeled = make_dataset({"x": [1.0], "c": ["red"]}, ["A"]).subset([])
+        unlabeled = make_dataset({"x": [1.0], "c": ["red"]}, ["?"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no labeled rows"):
+                pseudo_label(labeled, unlabeled, KnnConfig(1))
 
 
 def _noise_toy():
