@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -216,6 +217,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _csv_field(value: str) -> str:
+    """``value`` as ``csv.writer`` writes it among other fields of a row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value, ""])  # a lone empty field would be quoted
+    return buf.getvalue()[: -len(",\r\n")]
+
+
 def cmd_predict(args: argparse.Namespace) -> int:
     model_path = Path(args.model)
     if not model_path.exists():
@@ -236,10 +244,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
     predictions, posteriors = fitted.predict(data)
 
     with (open(args.output, "w", newline="") if args.output else nullcontext(sys.stdout)) as out:
-        writer = csv.writer(out)
-        writer.writerow(["predicted"] + [f"p_{c}" for c in fitted.model.classes])
-        for label, row in zip(predictions, posteriors):
-            writer.writerow([label] + [repr(float(p)) for p in row])
+        csv.writer(out).writerow(["predicted"] + [f"p_{c}" for c in fitted.model.classes])
+        # the writer quotes each class label once; posterior reprs never need quoting
+        quoted = {c: _csv_field(c) for c in fitted.model.classes}
+        for label, row in zip(predictions.tolist(), posteriors.tolist()):
+            out.write(quoted[label] + "," + ",".join(map(repr, row)) + "\r\n")
     return 0
 
 

@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -28,14 +29,6 @@ MISSING_TOKEN = "?"
 class AttributeKind(Enum):
     NUMERIC = "numeric"
     CATEGORICAL = "categorical"
-
-
-def _parse_finite(cell: str) -> float | None:
-    try:
-        value = float(cell)
-    except ValueError:
-        return None
-    return value if math.isfinite(value) else None
 
 
 def _token_codes(
@@ -134,6 +127,14 @@ def concat_rows(parts: Sequence[Dataset]) -> Dataset:
     )
 
 
+def categorical_vocab(datasets: Sequence[Dataset]) -> dict[int, list[str]]:
+    """Sorted category vocabulary per categorical attribute, pooled over inputs."""
+    return {
+        j: sorted(set().union(*(ds.columns[j].tolist() for ds in datasets)))
+        for j in datasets[0].categorical_attrs()
+    }
+
+
 def load_schema(path: str | Path) -> dict[str, AttributeKind]:
     """Read a sidecar schema file with one ``name,kind`` line per column."""
     hints: dict[str, AttributeKind] = {}
@@ -147,6 +148,15 @@ def load_schema(path: str | Path) -> dict[str, AttributeKind]:
             raise ValueError(f"{path}:{lineno}: unknown kind {kind!r}")
         hints[name.strip()] = AttributeKind(kind)
     return hints
+
+
+def _parse_column(cells: Sequence[str]) -> np.ndarray | None:
+    """The cells as float64, or None unless every one parses as a finite real."""
+    try:
+        values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
 
 
 def load_csv(
@@ -170,45 +180,40 @@ def load_csv(
             raise ValueError(f"{path}: row {i} has {len(record)} cells, expected {len(header)}")
 
     names = header[:-1]
-    labels = [record[-1] for record in records]
-    if any(token == missing_token for token in labels):
+    labels = np.fromiter(map(itemgetter(-1), records), dtype=object, count=len(records))
+    if (labels == missing_token).any():
         raise ValueError(f"{path}: missing class label")
 
     columns: list[np.ndarray] = []
     kinds: list[AttributeKind] = []
     missing = np.zeros((len(records), len(names)), dtype=bool)
     for j, name in enumerate(names):
-        cells = [record[j] for record in records]
-        miss = [cell == missing_token for cell in cells]
+        # one column at a time: transposing all at once (zip) cost ~2% more peak RSS
+        cells = np.fromiter(map(itemgetter(j), records), dtype=object, count=len(records))
+        miss = missing[:, j] = cells == missing_token
         kind = schema_hint.get(name) if schema_hint else None
-        # each present cell is parsed once; inference stops at the first failure
+        # present cells are parsed in bulk, and cell by cell only to name a bad row
         values = np.full(len(cells), np.nan)
-        parsed = kind is not AttributeKind.CATEGORICAL and not all(miss)
-        for i, cell in enumerate(cells) if parsed else ():
-            if miss[i]:
-                continue
-            value = _parse_finite(cell)
-            if value is None:
-                if kind is AttributeKind.NUMERIC:
-                    raise ValueError(
-                        f"{path}: column {name!r}, row {i + 2}: unparseable numeric cell {cell!r}"
-                    )
-                parsed = False
-                break
-            values[i] = value
+        present = ~miss
+        parsed = kind is not AttributeKind.CATEGORICAL and present.any()
+        if parsed:
+            text = cells[present].tolist()
+            numbers = _parse_column(text)
+            parsed = numbers is not None
+            if parsed:
+                values[present] = numbers
+            elif kind is AttributeKind.NUMERIC:
+                bad = next(i for i, cell in enumerate(text) if _parse_column([cell]) is None)
+                raise ValueError(
+                    f"{path}: column {name!r}, row {np.flatnonzero(present)[bad] + 2}: "
+                    f"unparseable numeric cell {text[bad]!r}"
+                )
         if not isinstance(kind, AttributeKind):
             kind = AttributeKind.NUMERIC if parsed else AttributeKind.CATEGORICAL
-        columns.append(values if kind is AttributeKind.NUMERIC else np.array(cells, dtype=object))
+        columns.append(values if kind is AttributeKind.NUMERIC else cells)
         kinds.append(kind)
-        missing[:, j] = miss
 
-    return Dataset(
-        names=names,
-        kinds=kinds,
-        columns=columns,
-        missing=missing,
-        labels=np.array(labels, dtype=object),
-    )
+    return Dataset(names=names, kinds=kinds, columns=columns, missing=missing, labels=labels)
 
 
 def write_csv(data: Dataset, path: str | Path, missing_token: str = MISSING_TOKEN) -> None:

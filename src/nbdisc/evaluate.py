@@ -29,6 +29,7 @@ from scipy.special import stdtr
 
 from .data import (
     Dataset,
+    categorical_vocab,
     class_codes,
     concat_rows,
     fill_missing,
@@ -53,7 +54,6 @@ from .weighted_nb import (
     NbModel,
     TrainOptions,
     WeightedParams,
-    categorical_vocab,
     encode_discrete,
     fit_nb,
     identity_params,

@@ -21,7 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import AttributeKind, Dataset, _token_codes, class_codes, stratified_folds
+from .data import (
+    AttributeKind, Dataset, _token_codes, categorical_vocab, class_codes, stratified_folds
+)
 
 DEFAULT_K_GRID: tuple[int, ...] = tuple(range(1, 32, 2))
 _BLOCK_ENTRIES = 1 << 16  # distances per ranking block: a cache-sized (n_queries, n_ref) slab
@@ -64,7 +66,7 @@ class FeatureSpace:
         cat = tuple(labeled.categorical_attrs())
         means = np.array([labeled.columns[j].mean() for j in num], dtype=float)
         scales = np.array([labeled.columns[j].std() for j in num], dtype=float)
-        vocab = tuple(tuple(sorted(set(labeled.columns[j].tolist()))) for j in cat)
+        vocab = tuple(map(tuple, categorical_vocab([labeled]).values()))
         return cls(
             names=tuple(labeled.names),
             kinds=tuple(labeled.kinds),

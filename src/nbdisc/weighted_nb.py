@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import AttributeKind, Dataset, _token_codes, class_codes
+from .data import categorical_vocab  # noqa: F401  (also this module's API)
 from .discretize import DiscretizationScheme, sigmoid
 
 
@@ -55,14 +56,6 @@ class DiscreteTable:
     @property
     def n_attrs(self) -> int:
         return self.x.shape[1]
-
-
-def categorical_vocab(datasets: Sequence[Dataset]) -> dict[int, list[str]]:
-    """Sorted category vocabulary per categorical attribute, pooled over inputs."""
-    return {
-        j: sorted(set().union(*(ds.columns[j].tolist() for ds in datasets)))
-        for j in datasets[0].categorical_attrs()
-    }
 
 
 def encode_discrete(

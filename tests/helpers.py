@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import Counter
 
@@ -48,6 +49,65 @@ def make_dataset(columns, labels, kinds=None, missing=None):
         missing=mask,
         labels=np.asarray(labels, dtype=object),
     )
+
+
+def reference_load_csv(path, schema_hint=None, missing_token="?"):
+    """Per-cell CSV loader: ``load_csv`` cell by cell, with the same checks and messages.
+
+    Each present cell of a column that may be numeric is parsed with ``float``
+    in row order until the first one that is not a finite real.
+    """
+
+    def parse_finite(cell):
+        try:
+            value = float(cell)
+        except ValueError:
+            return None
+        return value if math.isfinite(value) else None
+
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    header, records = rows[0], rows[1:]
+    if len(header) < 2:
+        raise ValueError(f"{path}: need at least one attribute column plus the class column")
+    if not records:
+        raise ValueError(f"{path}: no data rows")
+    for i, record in enumerate(records, start=2):
+        if len(record) != len(header):
+            raise ValueError(f"{path}: row {i} has {len(record)} cells, expected {len(header)}")
+    names = header[:-1]
+    labels = [record[-1] for record in records]
+    if any(token == missing_token for token in labels):
+        raise ValueError(f"{path}: missing class label")
+
+    columns, kinds = [], []
+    missing = np.zeros((len(records), len(names)), dtype=bool)
+    for j, name in enumerate(names):
+        cells = [record[j] for record in records]
+        miss = [cell == missing_token for cell in cells]
+        kind = schema_hint.get(name) if schema_hint else None
+        values = np.full(len(cells), np.nan)
+        parsed = kind is not AttributeKind.CATEGORICAL and not all(miss)
+        for i, cell in enumerate(cells) if parsed else ():
+            if miss[i]:
+                continue
+            value = parse_finite(cell)
+            if value is None:
+                if kind is AttributeKind.NUMERIC:
+                    raise ValueError(
+                        f"{path}: column {name!r}, row {i + 2}: unparseable numeric cell {cell!r}"
+                    )
+                parsed = False
+                break
+            values[i] = value
+        if not isinstance(kind, AttributeKind):
+            kind = AttributeKind.NUMERIC if parsed else AttributeKind.CATEGORICAL
+        columns.append(values if kind is AttributeKind.NUMERIC else np.array(cells, dtype=object))
+        kinds.append(kind)
+        missing[:, j] = miss
+    return Dataset(names, kinds, columns, missing, np.array(labels, dtype=object))
 
 
 def dict_codes(tokens, vocab, unknown=None):

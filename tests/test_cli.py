@@ -16,8 +16,15 @@ from helpers import count_node_evaluations
 import nbdisc
 from nbdisc import cli
 from nbdisc.cli import main
+from nbdisc.data import load_csv
 from nbdisc.discretize import load_scheme
-from nbdisc.evaluate import PipelineConfig, config_from_dict, config_hash, fit_pipeline
+from nbdisc.evaluate import (
+    FittedPipeline,
+    PipelineConfig,
+    config_from_dict,
+    config_hash,
+    fit_pipeline,
+)
 
 
 @pytest.fixture()
@@ -181,6 +188,29 @@ class TestTrainPredict:
         labels, posteriors = fit_pipeline(iris, config)[0].predict(iris)
         assert [r[0] for r in rows] == labels.tolist()
         assert np.array_equal([[float(v) for v in r[1:]] for r in rows], posteriors)
+
+    def test_predict_quotes_labels_as_csv_writer_does(self, tmp_path):
+        classes = ["a,b", 'q"x', " lead", ""]
+        train = tmp_path / "quoted.csv"
+        with train.open("w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["x", "class"])
+            writer.writerows([c * 10 + i % 7, classes[c]] for i in range(20) for c in range(4))
+        model_path = tmp_path / "model.json"
+        preds_path = tmp_path / "preds.csv"
+        assert main(["train", str(train), "--output", str(model_path)]) == 0
+        assert main(["predict", str(model_path), str(train), "--output", str(preds_path)]) == 0
+
+        fitted = FittedPipeline.from_dict(json.loads(model_path.read_text()))
+        assert sorted(fitted.model.classes) == sorted(classes)
+        labels, posteriors = fitted.predict(load_csv(train))
+        with (tmp_path / "want.csv").open("w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["predicted"] + [f"p_{c}" for c in fitted.model.classes])
+            for label, row in zip(labels, posteriors):
+                writer.writerow([label] + [repr(float(p)) for p in row])
+        assert preds_path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert set(labels) == set(classes)
 
     def test_negative_seed_rejected(self, separable_csv, tmp_path, capsys):
         model_path = tmp_path / "model.json"

@@ -1,11 +1,20 @@
 from __future__ import annotations
 
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from helpers import counter_mode, dict_codes, make_dataset
+from helpers import (
+    counter_mode,
+    dict_codes,
+    make_dataset,
+    reference_load_csv,
+)
 
 import nbdisc.data as data_module
 from nbdisc.data import (
@@ -21,6 +30,36 @@ from nbdisc.data import (
     stratified_folds,
     write_csv,
 )
+
+
+NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from([" 1", "1_0", "-0", "+.5", "1e-320"]),
+)
+ODD_CELLS = st.sampled_from(["inf", "nan", "1e400", "-inf", "", "a", "b,c", 'q"x'])
+
+
+@st.composite
+def csv_tables(draw):
+    """(rows, schema hint, missing token) for a small CSV; the class column is last."""
+    n_rows, n_attrs = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    token = draw(st.sampled_from(["?", ""]))
+    columns, hint = [], {}
+    for j in range(n_attrs):
+        pool = draw(st.sampled_from([NUMBER_CELLS, st.one_of(NUMBER_CELLS, ODD_CELLS)]))
+        cells = st.one_of(pool, st.just(token))
+        columns.append(draw(st.lists(cells, min_size=n_rows, max_size=n_rows)))
+        kind = draw(st.sampled_from([None, AttributeKind.NUMERIC, AttributeKind.CATEGORICAL]))
+        if kind is not None:
+            hint[f"x{j}"] = kind
+    labels = draw(st.lists(st.sampled_from(["A", "B", "a,b"]), min_size=n_rows, max_size=n_rows))
+    if draw(st.integers(0, 4)) == 0:
+        labels[draw(st.integers(0, n_rows - 1))] = "?"
+    return [list(row) for row in zip(*columns, labels)], hint, token
+
+
+CSV_TABLES = csv_tables()
 
 
 class TestLoadCsv:
@@ -86,16 +125,32 @@ class TestLoadCsv:
         p = tmp_path / "p.csv"
         p.write_text("x,y,c,class\n1.5,?,a,A\n?,2,b,B\n-3,4e2,a,A\n0.1,?,?,B\n")
         parsed = []
-        real = data_module._parse_finite
+        real = data_module._parse_column
         monkeypatch.setattr(
-            data_module, "_parse_finite", lambda cell: parsed.append(cell) or real(cell)
+            data_module, "_parse_column", lambda cells: parsed.extend(cells) or real(cells)
         )
         data = load_csv(p, schema_hint={"c": AttributeKind.CATEGORICAL})
         assert data.kinds == [AttributeKind.NUMERIC] * 2 + [AttributeKind.CATEGORICAL]
         assert len(parsed) == (~data.missing[:, :2]).sum() == 5
+        assert sorted(parsed) == sorted(["1.5", "-3", "0.1", "2", "4e2"])
         assert np.array_equal(data.columns[0], [1.5, np.nan, -3.0, 0.1], equal_nan=True)
         assert np.array_equal(data.columns[1], [np.nan, 2.0, 400.0, np.nan], equal_nan=True)
         assert data.columns[2].tolist() == ["a", "b", "a", "?"]
+
+    def test_missing_class_label_rejected(self, tmp_path):
+        p = tmp_path / "l.csv"
+        p.write_text("x,class\n1,A\n2,?\n")
+        with pytest.raises(ValueError, match="missing class label"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("cell", ["inf", "1e400"])
+    def test_numeric_hint_names_the_non_finite_row(self, tmp_path, cell):
+        p = tmp_path / "n.csv"
+        p.write_text(f"x,class\n1,A\n?,B\n{cell},A\n2,B\n")
+        with pytest.raises(
+            ValueError, match=f"column 'x', row 4: unparseable numeric cell '{cell}'"
+        ):
+            load_csv(p, schema_hint={"x": AttributeKind.NUMERIC})
 
     def test_non_finite_is_not_numeric(self, tmp_path):
         p = tmp_path / "inf.csv"
@@ -122,6 +177,37 @@ class TestLoadCsv:
         assert np.array_equal(back.columns[0], data.columns[0])
         assert back.columns[1].tolist() == data.columns[1].tolist()
         assert back.labels.tolist() == data.labels.tolist()
+
+    @given(CSV_TABLES)
+    @example(([["1", "A"], ["?", "B"], ["1e400", "A"]], {"x0": AttributeKind.NUMERIC}, "?"))
+    @example(([[" 1", "A"], ["1_0", "B"], ["?", "A"]], {}, "?"))
+    @example(([["nan", "A"], ["1", "B"]], {"x0": AttributeKind.CATEGORICAL}, "?"))
+    @example(([["?", "A"], ["?", "B"]], {"x0": AttributeKind.NUMERIC}, "?"))
+    def test_equals_per_cell_reference(self, table):
+        rows, hint, token = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            with path.open("w", newline="") as handle:
+                writer = csv.writer(handle)
+                writer.writerow([f"x{j}" for j in range(len(rows[0]) - 1)] + ["class"])
+                writer.writerows(rows)
+            try:
+                want = reference_load_csv(path, hint, token)
+            except ValueError as error:
+                with pytest.raises(ValueError) as raised:
+                    load_csv(path, hint, token)
+                assert str(raised.value) == str(error)
+                return
+            got = load_csv(path, hint, token)
+        assert got.names == want.names and got.kinds == want.kinds
+        assert np.array_equal(got.missing, want.missing)
+        assert got.labels.dtype == object and got.labels.tolist() == want.labels.tolist()
+        for col, ref in zip(got.columns, want.columns):
+            assert col.dtype == ref.dtype
+            if ref.dtype == object:
+                assert col.tolist() == ref.tolist()
+            else:
+                assert col.tobytes() == ref.tobytes()
 
 
 class TestImpute:
