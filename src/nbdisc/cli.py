@@ -37,7 +37,7 @@ from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
 
-from .data import AttributeKind, Dataset, MISSING_TOKEN, load_csv, load_schema
+from .data import Dataset, MISSING_TOKEN, load_csv, load_schema
 from .discretize import DEFAULT_BINS, DEFAULT_N0, METHODS, save_scheme, threshold_curve
 from .evaluate import (
     CLASSIFIERS,
@@ -59,8 +59,11 @@ MODEL_FORMAT = "nbdisc-model-v1"
 
 
 def _load_dataset(path: str, schema: str | None, missing_token: str) -> Dataset:
-    hint = load_schema(schema) if schema else None
-    return load_csv(path, schema_hint=hint, missing_token=missing_token)
+    hint = load_schema(schema) if schema else {}
+    data = load_csv(path, schema_hint=hint, missing_token=missing_token)
+    if unknown := sorted(set(hint) - set(data.names)):
+        raise ValueError(f"{schema}: no attribute column of {path} is named {unknown}")
+    return data
 
 
 def _print_diagnostics(diag) -> None:
@@ -114,8 +117,11 @@ def _manifest_from_args(args: argparse.Namespace) -> dict:
     if not isinstance(datasets, list) or not isinstance(configs, list):
         raise ValueError('manifest "datasets" and "configs" must be lists')
     if not all(isinstance(entry, dict) and isinstance(entry.get("name"), str)
-               and isinstance(entry.get("path"), str) for entry in datasets):
-        raise ValueError('each manifest dataset needs a string "name" and "path"')
+               and isinstance(entry.get("path"), str) and isinstance(entry.get("schema", ""), str)
+               for entry in datasets):
+        raise ValueError('each manifest dataset needs a string "name", "path" and any "schema"')
+    if len({entry["name"] for entry in datasets}) < len(datasets):
+        raise ValueError(f"manifest dataset names repeat: {[e['name'] for e in datasets]}")
     if not all(isinstance(entry, dict) for entry in configs):
         raise ValueError("each manifest config must be a JSON object")
     # a flag given on the command line wins over the manifest's value
@@ -201,11 +207,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "missing_token": args.missing_token,
         "config": {
-            "method": args.method,
-            "classifier": args.classifier,
-            "n0": args.n0,
-            "bins": args.bins,
-            "max_iter": args.max_iter,
+            key: getattr(config, key) for key in ("method", "classifier", "n0", "bins", "max_iter")
         },
         "schema": [
             {"name": n, "kind": k.value} for n, k in zip(data.names, data.kinds)
@@ -231,16 +233,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
     doc = json.loads(model_path.read_text())
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{args.model}: not a model file")
-    schema = {entry["name"]: AttributeKind(entry["kind"]) for entry in doc["schema"]}
-    missing_token = args.missing_token or doc["missing_token"]
-    data = load_csv(args.input, schema_hint=schema, missing_token=missing_token)
-    expected = [entry["name"] for entry in doc["schema"]]
+    fitted = FittedPipeline.from_dict(doc)
+    expected = fitted.scheme.names
+    data = load_csv(args.input, schema_hint=dict(zip(expected, fitted.scheme.kinds)),
+                    missing_token=args.missing_token or doc["missing_token"])
     if data.names != expected:
         raise ValueError(
             f"schema mismatch: model expects columns {expected}, file has {data.names}"
         )
-
-    fitted = FittedPipeline.from_dict(doc)
     predictions, posteriors = fitted.predict(data)
 
     with (open(args.output, "w", newline="") if args.output else nullcontext(sys.stdout)) as out:

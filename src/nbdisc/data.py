@@ -283,8 +283,6 @@ class FoldPlan:
     """Row-to-fold assignments for stratified cross-validation."""
 
     assignments: np.ndarray
-    folds: int
-    seed: int
 
     def test_rows(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.assignments == fold)
@@ -309,7 +307,7 @@ def stratified_folds(data: Dataset, folds: int, seed: int) -> FoldPlan:
     for c in range(len(classes)):
         rows = rng.permutation(np.flatnonzero(codes == c))
         assignments[rows] = np.arange(len(rows)) % folds
-    return FoldPlan(assignments=assignments, folds=folds, seed=seed)
+    return FoldPlan(assignments)
 
 
 @dataclass(frozen=True)
@@ -318,31 +316,23 @@ class LabeledSplit:
 
     labeled_rows: np.ndarray
     unlabeled_rows: np.ndarray
-    fraction: float
 
 
 def split_labeled_fraction(
-    train_rows: Sequence[int] | np.ndarray,
-    class_labels: Sequence[str] | np.ndarray,
-    fraction: float,
-    seed: int,
+    class_labels: Sequence[str] | np.ndarray, fraction: float, seed: int
 ) -> LabeledSplit:
-    """Pick ``round(fraction * n)`` labeled rows, stratified by class.
+    """Pick ``round(fraction * n)`` of rows ``0..n-1`` to label, stratified by class.
 
     Per-class quotas use the largest-remainder method so the labeled total
     is exact and class proportions are preserved as closely as possible.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    rows = np.asarray(train_rows, dtype=int)
-    labels = np.asarray(class_labels, dtype=object)
-    if len(rows) != len(labels):
-        raise ValueError("train_rows and class_labels must align")
-    n = len(rows)
+    n = len(class_labels)
     total = int(math.floor(fraction * n + 0.5))
 
-    classes, codes = class_codes(labels)
-    class_rows = {cls: rows[codes == c] for c, cls in enumerate(classes)}
+    classes, codes = class_codes(class_labels)
+    class_rows = {cls: np.flatnonzero(codes == c) for c, cls in enumerate(classes)}
     raw = {cls: total * len(class_rows[cls]) / n for cls in classes}
     quota = {cls: int(math.floor(raw[cls])) for cls in classes}
     leftover = total - sum(quota.values())
@@ -358,4 +348,4 @@ def split_labeled_fraction(
         unlabeled_parts.append(perm[quota[cls] :])
     labeled = np.sort(np.concatenate(labeled_parts))
     unlabeled = np.sort(np.concatenate(unlabeled_parts))
-    return LabeledSplit(labeled_rows=labeled, unlabeled_rows=unlabeled, fraction=fraction)
+    return LabeledSplit(labeled_rows=labeled, unlabeled_rows=unlabeled)

@@ -357,7 +357,6 @@ class DiscretizationScheme:
 
 def build_scheme(
     data: Dataset,
-    labels: Sequence[str] | np.ndarray | None,
     method: str,
     *,
     n0: int = DEFAULT_N0,
@@ -366,8 +365,9 @@ def build_scheme(
 ) -> DiscretizationScheme:
     """Run the chosen partitioner on every numeric attribute of ``data``.
 
-    ``nodes`` maps an attribute index to its node table; pass one dict to
-    every call on the same rows and labels to evaluate each node once.
+    Supervised methods split by ``data.labels``, so pseudo-labels ride on their
+    rows.  ``nodes`` maps an attribute index to its node table; pass one dict
+    to every call on the same rows to evaluate each node once.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -375,10 +375,7 @@ def build_scheme(
         raise ValueError("n0 must be at least 1")
     if method in ("eqw", "eqf") and bins < 1:
         raise ValueError("bins must be at least 1")
-    label_arr = data.labels if labels is None else np.asarray(labels, dtype=object)
-    if len(label_arr) != data.n_rows:
-        raise ValueError("labels must align with rows")
-    codes = class_codes(label_arr)[1] if method in ("mdlp", "sadd") else None
+    codes = class_codes(data.labels)[1] if method in ("mdlp", "sadd") else None
     cuts: list[np.ndarray] = []
     for j, kind in enumerate(data.kinds):
         if kind is not AttributeKind.NUMERIC:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -223,8 +223,7 @@ def fit_pipeline(
         split_key = ("split", config.labeled_fraction, seed)
         if config.labeled_fraction < 1.0:
             split = _once(stages, split_key, lambda: split_labeled_fraction(
-                np.arange(imp_train.n_rows), imp_train.labels, config.labeled_fraction,
-                _child_seed(seed, 1),
+                imp_train.labels, config.labeled_fraction, _child_seed(seed, 1)
             ))
             labeled = imp_train.subset(split.labeled_rows)
             unlabeled = imp_train.subset(split.unlabeled_rows)
@@ -248,18 +247,17 @@ def fit_pipeline(
             pseudo = _once(stages, rows_key, lambda: pseudo_label(
                 labeled, pool, KnnConfig(selected_k)
             ))
-            scheme_data = concat_rows([labeled, pool])
-            scheme_labels = np.concatenate([labeled.labels, pseudo])
+            scheme_data = concat_rows([labeled, replace(pool, labels=pseudo)])
         elif config.method in ("eqw", "eqf"):
             rows_key = ("all",)
-            scheme_data, scheme_labels = imp_train, imp_train.labels
+            scheme_data = imp_train
         else:
-            scheme_data, scheme_labels = labeled, labeled.labels
+            scheme_data = labeled
 
         stage = "discretize"
         scheme_key = ("scheme", rows_key, config.method, config.n0, config.bins)
         scheme = _once(stages, scheme_key, lambda: build_scheme(
-            scheme_data, scheme_labels, config.method, n0=config.n0, bins=config.bins,
+            scheme_data, config.method, n0=config.n0, bins=config.bins,
             nodes=_once(stages, ("nodes", rows_key), dict),
         ))
         vocab = categorical_vocab([imp_train] if imp_test is None else [imp_train, imp_test])
@@ -360,11 +358,9 @@ class DiagnosticsTable:
         return float(np.mean([r.mi for r in self.rows])) if self.rows else float("nan")
 
 
-def diagnostics_table(
-    scheme: DiscretizationScheme, disc_data: Dataset, labels: Sequence[str] | np.ndarray
-) -> DiagnosticsTable:
+def diagnostics_table(scheme: DiscretizationScheme, disc_data: Dataset) -> DiagnosticsTable:
     """Interval count and attribute/class mutual information per numeric attribute."""
-    codes = class_codes(labels)[1]
+    codes = class_codes(disc_data.labels)[1]
     rows = []
     for j in disc_data.numeric_attrs():
         rows.append(
@@ -402,15 +398,15 @@ def whole_data_diagnostics(
     data: Dataset, method: str, n0: int = DEFAULT_N0, bins: int = DEFAULT_BINS,
     nodes: dict | None = None,
 ) -> tuple[DiscretizationScheme, DiagnosticsTable]:
-    """Scheme built on all rows (self-imputed) and its diagnostics table.
+    """Scheme built on all rows (self-imputed) by their own labels, and its diagnostics.
 
     Data without missing cells is used as it is, so several calls can share
     one imputation.  ``nodes`` is ``build_scheme``'s: split nodes shared by
     calls on ``data``.
     """
     imputed = impute_missing(data, data) if data.missing.any() else data
-    scheme = build_scheme(imputed, None, method, n0=n0, bins=bins, nodes=nodes)
-    return scheme, diagnostics_table(scheme, apply_scheme(scheme, imputed), imputed.labels)
+    scheme = build_scheme(imputed, method, n0=n0, bins=bins, nodes=nodes)
+    return scheme, diagnostics_table(scheme, apply_scheme(scheme, imputed))
 
 
 def cross_validate(

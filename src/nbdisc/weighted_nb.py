@@ -28,7 +28,6 @@ from typing import Sequence
 import numpy as np
 
 from .data import AttributeKind, Dataset, _token_codes, class_codes
-from .data import categorical_vocab  # noqa: F401  (also this module's API)
 from .discretize import DiscretizationScheme, sigmoid
 
 
@@ -116,11 +115,10 @@ class WeightedParams:
             raise ValueError("weights must be finite")
 
 
-def identity_params(model: NbModel, alpha: float = 0.5) -> WeightedParams:
+def identity_params(model: NbModel) -> WeightedParams:
+    """Plain naive Bayes: every exponent 1, so both posteriors, and any blend, agree."""
     return WeightedParams(
-        W=np.ones((model.n_classes, model.n_attrs)),
-        w=np.ones(model.n_attrs),
-        alpha=alpha,
+        W=np.ones((model.n_classes, model.n_attrs)), w=np.ones(model.n_attrs), alpha=0.5
     )
 
 

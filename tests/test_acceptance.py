@@ -16,7 +16,7 @@ import pytest
 from helpers import brute_force_best_cut, brute_force_nb_posterior
 
 from nbdisc.cli import main
-from nbdisc.data import impute_missing, load_csv, load_schema
+from nbdisc.data import categorical_vocab, impute_missing, load_csv, load_schema
 from nbdisc.discretize import (
     ClassCounts,
     apply_scheme,
@@ -38,7 +38,6 @@ from nbdisc.evaluate import (
 from nbdisc.weighted_nb import (
     TrainOptions,
     WeightedParams,
-    categorical_vocab,
     encode_discrete,
     fit_nb,
     gradient,
@@ -61,7 +60,7 @@ def _report(number: int, description: str, passed: bool) -> None:
 
 def _discretized_fixture(data, method="sadd"):
     imputed = impute_missing(data, data)
-    scheme = build_scheme(imputed, None, method)
+    scheme = build_scheme(imputed, method)
     vocab = categorical_vocab([imputed])
     table = encode_discrete(apply_scheme(scheme, imputed), scheme, vocab)
     return table, imputed.labels
@@ -98,10 +97,10 @@ def test_criterion_02_vowel_diagnostics():
     data = load_csv(path, schema_hint=hint)
     imputed = impute_missing(data, data)
 
-    mdlp_scheme = build_scheme(imputed, None, "mdlp")
-    sadd_scheme = build_scheme(imputed, None, "sadd", n0=2000)
-    mdlp_diag = diagnostics_table(mdlp_scheme, apply_scheme(mdlp_scheme, imputed), imputed.labels)
-    sadd_diag = diagnostics_table(sadd_scheme, apply_scheme(sadd_scheme, imputed), imputed.labels)
+    mdlp_scheme = build_scheme(imputed, "mdlp")
+    sadd_scheme = build_scheme(imputed, "sadd", n0=2000)
+    mdlp_diag = diagnostics_table(mdlp_scheme, apply_scheme(mdlp_scheme, imputed))
+    sadd_diag = diagnostics_table(sadd_scheme, apply_scheme(sadd_scheme, imputed))
 
     # the 10 acoustic features are the 10 numeric attributes nearest the class
     # column; leading context columns (fold flag, speaker, sex), if present

@@ -80,6 +80,46 @@ class TestDiscretizeCommand:
         assert main(["discretize", str(tmp_path / "absent.csv")]) == 2
 
 
+class TestSchemaSidecar:
+    """A sidecar line must name an attribute column of the CSV it hints."""
+
+    @pytest.fixture()
+    def misspelt(self, tmp_path):
+        path = tmp_path / "iris.schema"
+        path.write_text("sepal_length,numeric\nspeakr,categorical\n")
+        return path
+
+    @pytest.mark.parametrize("command", [
+        ["discretize"], ["train", "--output", "model.json"],
+    ], ids=["discretize", "train"])
+    def test_unknown_column_usage_error(self, command, misspelt, iris_path, tmp_path, capsys,
+                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main([command[0], str(iris_path), "--schema", str(misspelt), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {misspelt}: no attribute column of {iris_path} is named ['speakr']\n"
+        assert not (tmp_path / "model.json").exists()
+
+    def test_bench_reports_the_dataset_failed(self, misspelt, iris_path, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "folds": 2, "output_dir": str(tmp_path / "out"), "configs": [{"method": "mdlp"}],
+            "datasets": [{"name": "iris", "path": str(iris_path), "schema": str(misspelt)}],
+        }))
+        assert main(["bench", str(manifest)]) == 1
+        assert "failed: iris: " in capsys.readouterr().err
+        assert json.loads((tmp_path / "out" / "results.json").read_text())["runs"] == []
+
+    def test_known_columns_accepted(self, iris_path, tmp_path, capsys):
+        sidecar = tmp_path / "iris.schema"
+        sidecar.write_text("sepal_length,categorical\n")
+        assert main(["discretize", str(iris_path), "--schema", str(sidecar)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[1:-1]] == [
+            "sepal_width", "petal_length", "petal_width"
+        ]
+
+
 class TestCurveCommand:
     def test_single_row(self, tmp_path):
         out = tmp_path / "curve.csv"
@@ -154,12 +194,32 @@ class TestTrainPredict:
         for row in rows[1:]:
             assert math.fsum(float(v) for v in row[1:]) == pytest.approx(1.0, abs=1e-9)
 
-    def test_schema_mismatch(self, separable_csv, tmp_path):
+    def test_schema_mismatch(self, separable_csv, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         main(["train", str(separable_csv), "--output", str(model_path), "--max-iter", "0"])
         bad = tmp_path / "bad.csv"
         bad.write_text("x,class\n1.0,A\n")
         assert main(["predict", str(model_path), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "schema mismatch: model expects columns ['x', 'color'], file has ['x']" in err
+
+    def test_reordered_columns_rejected(self, separable_csv, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        main(["train", str(separable_csv), "--output", str(model_path), "--max-iter", "0"])
+        swapped = tmp_path / "swapped.csv"
+        swapped.write_text("color,x,class\nred,0.1,A\n")
+        assert main(["predict", str(model_path), str(swapped)]) == 2
+        err = capsys.readouterr().err
+        assert "model expects columns ['x', 'color'], file has ['color', 'x']" in err
+
+    def test_untagged_json_is_not_a_model(self, separable_csv, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        main(["train", str(separable_csv), "--output", str(model_path), "--max-iter", "0"])
+        doc = json.loads(model_path.read_text())
+        del doc["format"]
+        model_path.write_text(json.dumps(doc))
+        assert main(["predict", str(model_path), str(separable_csv)]) == 2
+        assert capsys.readouterr().err == f"error: {model_path}: not a model file\n"
 
     def test_missing_model(self, separable_csv, tmp_path):
         code = main(["predict", str(tmp_path / "no_model.json"), str(separable_csv)])
@@ -283,9 +343,11 @@ class TestBenchCommand:
         lambda m: {**m, "output_dir": 5},
         lambda m: {**m, "folds": 2.9},
         lambda m: {**m, "seed": True},
+        lambda m: {**m, "datasets": [{**m["datasets"][0], "schema": 5}]},
+        lambda m: {**m, "datasets": [*m["datasets"], {"name": "iris", "path": "other.csv"}]},
     ], ids=["list", "datasets-string", "configs-number", "config-number", "k_grid-null",
             "labeled_fraction-string", "seed-string", "output_dir-number", "folds-float",
-            "seed-bool"])
+            "seed-bool", "schema-number", "dataset-name-repeated"])
     def test_malformed_manifest_usage_error(
         self, change, iris_path, tmp_path, capsys, monkeypatch
     ):

@@ -367,21 +367,21 @@ class TestStratifiedFolds:
 
 class TestSplitLabeledFraction:
     def test_full_fraction_no_unlabeled(self):
-        split = split_labeled_fraction(range(10), ["A"] * 5 + ["B"] * 5, 1.0, seed=0)
+        split = split_labeled_fraction(["A"] * 5 + ["B"] * 5, 1.0, seed=0)
         assert split.unlabeled_rows.size == 0
         assert split.labeled_rows.tolist() == list(range(10))
 
     def test_forty_percent_of_hundred(self):
         labels = ["A"] * 50 + ["B"] * 50
-        split = split_labeled_fraction(range(100), labels, 0.4, seed=0)
+        split = split_labeled_fraction(labels, 0.4, seed=0)
         assert split.labeled_rows.size == 40
 
     def test_seeds_change_membership_not_sizes(self):
         # 10-row toy, 6 A + 4 B at fraction 0.5: quotas are 3 A + 2 B by the
         # largest-remainder rule.
         labels = ["A"] * 6 + ["B"] * 4
-        one = split_labeled_fraction(range(10), labels, 0.5, seed=1)
-        two = split_labeled_fraction(range(10), labels, 0.5, seed=2)
+        one = split_labeled_fraction(labels, 0.5, seed=1)
+        two = split_labeled_fraction(labels, 0.5, seed=2)
 
         def per_class(split):
             chosen = [labels[i] for i in split.labeled_rows]
@@ -392,7 +392,7 @@ class TestSplitLabeledFraction:
 
     def test_partition_invariant(self):
         labels = ["A"] * 7 + ["B"] * 5 + ["C"] * 3
-        split = split_labeled_fraction(range(15), labels, 0.6, seed=9)
+        split = split_labeled_fraction(labels, 0.6, seed=9)
         merged = sorted(split.labeled_rows.tolist() + split.unlabeled_rows.tolist())
         assert merged == list(range(15))
         assert not set(split.labeled_rows) & set(split.unlabeled_rows)
@@ -400,7 +400,7 @@ class TestSplitLabeledFraction:
     @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5])
     def test_bad_fraction(self, fraction):
         with pytest.raises(ValueError):
-            split_labeled_fraction(range(4), ["A"] * 4, fraction, seed=0)
+            split_labeled_fraction(["A"] * 4, fraction, seed=0)
 
 
 def test_concat_rows_preserves_schema(toy_mixed):

@@ -350,14 +350,14 @@ class TestSharedSplitTrees:
     def test_schemes_sharing_nodes_evaluate_no_node_twice(self, iris, monkeypatch):
         calls = count_node_evaluations(monkeypatch)
         methods = ("mdlp", "sadd")
-        fresh = {m: [c.tolist() for c in build_scheme(iris, None, m).cuts] for m in methods}
+        fresh = {m: [c.tolist() for c in build_scheme(iris, m).cuts] for m in methods}
         calls.clear()
-        build_scheme(iris, None, "sadd")
+        build_scheme(iris, "sadd")
         sadd_alone = len(calls)
         calls.clear()
         nodes = {}
         for method in ("mdlp", "sadd", "mdlp", "sadd"):
-            cuts = build_scheme(iris, None, method, nodes=nodes).cuts
+            cuts = build_scheme(iris, method, nodes=nodes).cuts
             assert [c.tolist() for c in cuts] == fresh[method]
         assert sorted(nodes) == iris.numeric_attrs()
         assert 0 < len(calls) == sadd_alone
@@ -405,17 +405,17 @@ class TestUnsupervisedBins:
 class TestScheme:
     def test_unknown_method(self, iris):
         with pytest.raises(ValueError, match="unknown method"):
-            build_scheme(iris, None, "chimera")
+            build_scheme(iris, "chimera")
 
     def test_categorical_passthrough(self, toy_mixed):
         imputed = impute_missing(toy_mixed, toy_mixed)
-        scheme = build_scheme(imputed, None, "mdlp")
+        scheme = build_scheme(imputed, "mdlp")
         assert scheme.cuts[1].size == 0
         assert scheme.cuts[2].size == 0
 
     def test_zero_numeric_attributes(self):
         data = make_dataset({"c": ["x", "y", "x"]}, ["A", "B", "A"])
-        scheme = build_scheme(data, None, "sadd")
+        scheme = build_scheme(data, "sadd")
         assert [c.size for c in scheme.cuts] == [0]
 
     @pytest.mark.parametrize("numeric", [False, True])
@@ -433,14 +433,14 @@ class TestScheme:
             columns["v"] = [1.0, 2.0, 3.0]
         data = make_dataset(columns, ["A", "B", "A"])
         with pytest.raises(ValueError, match=message):
-            build_scheme(data, None, method, **params)
+            build_scheme(data, method, **params)
 
     @pytest.mark.parametrize("fixture", ["iris", "toy_mixed"])
     @pytest.mark.parametrize("method", ["mdlp", "sadd"])
     def test_cuts_equal_per_attribute_partition(self, request, fixture, method):
         data = request.getfixturevalue(fixture)
         data = impute_missing(data, data)
-        scheme = build_scheme(data, None, method, n0=40)
+        scheme = build_scheme(data, method, n0=40)
         for j, kind in enumerate(data.kinds):
             col = data.columns[j]
             if kind is not AttributeKind.NUMERIC:
@@ -463,27 +463,27 @@ class TestScheme:
         monkeypatch.setattr(evaluate_module, "class_codes", counting)
         data = make_dataset({iris.names[j]: iris.columns[j] for j in range(width)}, iris.labels)
         for method in ("mdlp", "sadd"):
-            scheme = build_scheme(data, None, method, n0=40)
-            evaluate_module.diagnostics_table(scheme, apply_scheme(scheme, data), data.labels)
+            scheme = build_scheme(data, method, n0=40)
+            evaluate_module.diagnostics_table(scheme, apply_scheme(scheme, data))
             assert calls == [150, 150]
             calls.clear()
 
     def test_apply_index_convention(self):
         data = make_dataset({"x": [1.0, 2.0, 3.0, 4.0]}, ["A"] * 4)
-        scheme = build_scheme(data, None, "mdlp")
+        scheme = build_scheme(data, "mdlp")
         scheme.cuts[0] = np.array([3.0])
         out = apply_scheme(scheme, data)
         assert out.columns[0].tolist() == [0, 0, 1, 1]
 
     def test_apply_empty_cuts(self):
         data = make_dataset({"x": [1.0, 9.0]}, ["A", "A"])
-        scheme = build_scheme(data, None, "mdlp")
+        scheme = build_scheme(data, "mdlp")
         assert scheme.cuts[0].size == 0
         assert apply_scheme(scheme, data).columns[0].tolist() == [0, 0]
 
     def test_apply_clamps_out_of_range(self):
         train = make_dataset({"x": [1.0, 3.0, 5.0, 7.0]}, ["A", "A", "B", "B"])
-        scheme = build_scheme(train, None, "mdlp")
+        scheme = build_scheme(train, "mdlp")
         scheme.cuts[0] = np.array([3.0, 5.0])
         query = make_dataset({"x": [100.0, -100.0]}, ["?", "?"])
         assert apply_scheme(scheme, query).columns[0].tolist() == [2, 0]
@@ -493,23 +493,23 @@ class TestScheme:
         values = rng.normal(size=50)
         labels = [f"c{i}" for i in rng.integers(0, 3, 50)]
         data = make_dataset({"x": values}, labels)
-        scheme = build_scheme(data, None, "sadd", n0=100)
+        scheme = build_scheme(data, "sadd", n0=100)
         out = apply_scheme(scheme, data).columns[0]
         order = np.argsort(values)
         assert (np.diff(out[order]) >= 0).all()
 
     def test_apply_schema_mismatch(self, iris, toy_mixed):
-        scheme = build_scheme(iris, None, "mdlp")
+        scheme = build_scheme(iris, "mdlp")
         with pytest.raises(ValueError, match="match"):
             apply_scheme(scheme, toy_mixed)
 
     def test_interval_count_is_cuts_plus_one(self, iris):
-        scheme = build_scheme(iris, None, "sadd")
+        scheme = build_scheme(iris, "sadd")
         for j in range(4):
             assert scheme.n_intervals(j) == len(scheme.cuts[j]) + 1
 
     def test_round_trip(self, iris, tmp_path):
-        scheme = build_scheme(iris, None, "sadd", n0=500)
+        scheme = build_scheme(iris, "sadd", n0=500)
         path = tmp_path / "scheme.json"
         save_scheme(scheme, path)
         back = load_scheme(path)

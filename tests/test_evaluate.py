@@ -513,14 +513,14 @@ class TestPipelineFuzz:
 class TestDiagnostics:
     def test_constant_attribute(self):
         data = make_dataset({"x": [3.0, 3.0, 3.0, 3.0]}, ["A", "B", "A", "B"])
-        scheme = build_scheme(data, None, "mdlp")
-        table = diagnostics_table(scheme, apply_scheme(scheme, data), data.labels)
+        scheme = build_scheme(data, "mdlp")
+        table = diagnostics_table(scheme, apply_scheme(scheme, data))
         assert table.rows[0].intervals == 1
         assert table.rows[0].mi == pytest.approx(0.0)
 
     def test_averages(self, iris):
-        scheme = build_scheme(iris, None, "sadd")
-        table = diagnostics_table(scheme, apply_scheme(scheme, iris), iris.labels)
+        scheme = build_scheme(iris, "sadd")
+        table = diagnostics_table(scheme, apply_scheme(scheme, iris))
         assert len(table.rows) == 4
         assert table.avg_intervals == pytest.approx(
             np.mean([r.intervals for r in table.rows])
@@ -530,8 +530,8 @@ class TestDiagnostics:
         from nbdisc.data import impute_missing
 
         imputed = impute_missing(toy_mixed, toy_mixed)
-        scheme = build_scheme(imputed, None, "mdlp")
-        table = diagnostics_table(scheme, apply_scheme(scheme, imputed), imputed.labels)
+        scheme = build_scheme(imputed, "mdlp")
+        table = diagnostics_table(scheme, apply_scheme(scheme, imputed))
         assert [r.name for r in table.rows] == ["temp"]
 
 

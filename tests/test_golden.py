@@ -8,8 +8,10 @@ shape shrunk to 2000 training and 2000 scored rows.  ``iris`` runs both
 supervised discretizers with every classifier on ``tests/data/iris.csv``,
 plus ``sadd+rnb`` at labeled fraction 0.3, and is also run with ``--jobs 2``.
 ``discretize`` runs ``nbdisc discretize`` on iris with ``sadd`` and ``mdlp``
-and keeps the scheme, the diagnostics CSV and stdout of each; ``curve`` keeps
-the stdout of ``nbdisc curve`` with its default arguments.
+and keeps the scheme, the diagnostics CSV and stdout of each;
+``discretize-mixed`` does the same on ``tests/data/toy_mixed.csv``, whose
+categorical columns and ``?`` cells go through imputation first; ``curve``
+keeps the stdout of ``nbdisc curve`` with its default arguments.
 
 Float bits may differ between library versions, so the files are only
 valid for the Python, numpy and scipy versions in ``versions.json``.  A
@@ -37,6 +39,7 @@ from nbdisc.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 GEN_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "gen.py"
 IRIS = Path(__file__).parent / "data" / "iris.csv"
+TOY_MIXED = Path(__file__).parent / "data" / "toy_mixed.csv"
 SEED = 0
 FOLDS = 3
 DIFF_LINES = 60
@@ -74,7 +77,8 @@ TRAIN_PREDICT = (
     2000,
     2000,
 )
-CASES = [*BENCH_CASES, "train-predict", "iris", "discretize", "curve"]
+DISCRETIZE_CASES = {"discretize": IRIS, "discretize-mixed": TOY_MIXED}
+CASES = [*BENCH_CASES, "train-predict", "iris", *DISCRETIZE_CASES, "curve"]
 
 
 def _load_gen():
@@ -105,12 +109,12 @@ def produce(case: str, work: Path, jobs: int = 1) -> dict[str, bytes]:
     data = work / "data.csv"
     if case == "curve":
         return {"curve.csv": _stdout_of(["curve"])}
-    if case == "discretize":
+    if case in DISCRETIZE_CASES:
         files = {}
         for method in ("sadd", "mdlp"):
             scheme, diag = work / f"{method}.scheme.json", work / f"{method}.diagnostics.csv"
             files[f"{method}.stdout.txt"] = _stdout_of(
-                ["discretize", str(IRIS), "--method", method,
+                ["discretize", str(DISCRETIZE_CASES[case]), "--method", method,
                  "--output", str(scheme), "--diagnostics-out", str(diag)]
             )
             files.update({path.name: path.read_bytes() for path in (scheme, diag)})

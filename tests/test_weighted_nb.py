@@ -17,7 +17,7 @@ from helpers import (
     two_branch_posteriors,
 )
 
-from nbdisc.data import impute_missing
+from nbdisc.data import categorical_vocab, impute_missing
 from nbdisc.discretize import apply_scheme, build_scheme
 from nbdisc.weighted_nb import (
     DiscreteTable,
@@ -30,7 +30,6 @@ from nbdisc.weighted_nb import (
     _row_sum,
     _softmax,
     _targets,
-    categorical_vocab,
     encode_discrete,
     fit_nb,
     gradient,
@@ -68,7 +67,7 @@ def four_row():
 @pytest.fixture(scope="module")
 def iris_table(iris):
     imputed = impute_missing(iris, iris)
-    scheme = build_scheme(imputed, None, "sadd")
+    scheme = build_scheme(imputed, "sadd")
     vocab = categorical_vocab([imputed])
     table = encode_discrete(apply_scheme(scheme, imputed), scheme, vocab)
     return table, imputed.labels
@@ -377,7 +376,7 @@ class TestTrainers:
     def test_matches_reference_loop(self, variant, data, request):
         raw = request.getfixturevalue(data)
         imputed = impute_missing(raw, raw)
-        scheme = build_scheme(imputed, None, "sadd")
+        scheme = build_scheme(imputed, "sadd")
         table = encode_discrete(apply_scheme(scheme, imputed), scheme, categorical_vocab([imputed]))
         opts = TrainOptions(max_iter=50)
         trainer = {"rnb": train_rnb, "wanbia": train_wanbia, "cawnb": train_cawnb}[variant]
@@ -510,7 +509,7 @@ class TestPredict:
 class TestEncodeAndSerialize:
     def test_unseen_category_maps_to_floor(self):
         train = make_dataset({"c": ["red", "red", "blue"]}, ["A", "A", "B"])
-        scheme = build_scheme(train, None, "mdlp")
+        scheme = build_scheme(train, "mdlp")
         vocab = categorical_vocab([train])
         table = encode_discrete(apply_scheme(scheme, train), scheme, vocab)
         model = fit_nb(table, train.labels)
