@@ -235,8 +235,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.model}: not a model file")
     fitted = FittedPipeline.from_dict(doc)
     expected = fitted.scheme.names
+    token = doc["missing_token"] if args.missing_token is None else args.missing_token
     data = load_csv(args.input, schema_hint=dict(zip(expected, fitted.scheme.kinds)),
-                    missing_token=args.missing_token or doc["missing_token"])
+                    missing_token=token)
     if data.names != expected:
         raise ValueError(
             f"schema mismatch: model expects columns {expected}, file has {data.names}"

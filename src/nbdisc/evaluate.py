@@ -12,7 +12,10 @@ true test labels are used for nothing but the final accuracy.
 Accuracies are fractions in [0, 1]; reports format them as percentages.
 The one-tailed paired t-test normalizes differences by the n-denominator
 standard deviation over sqrt(n) and takes the p-value from the Student t
-distribution with n-1 degrees of freedom.
+distribution with n-1 degrees of freedom.  The tail comes from its closed form
+for integer degrees of freedom (Abramowitz & Stegun 26.7.3-26.7.4), summed in
+``decimal`` with 40 guard digits, so p is the correctly rounded float of the
+exact tail.
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
+from decimal import Decimal, localcontext
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import stdtr
 
 from .data import (
     Dataset,
@@ -485,6 +488,63 @@ def cross_validate_configs(
     return reports
 
 
+# log10 of 2**-1075, half the smallest subnormal float: a tail below it rounds to 0.0
+_LOG10_HALF_SUBNORMAL = -1075 * math.log10(2)
+
+
+def _atan(y: Decimal) -> Decimal:
+    """atan(y) for y >= 0 at the current decimal precision."""
+    halvings = 0
+    while y > Decimal("0.03"):  # tan(a/2) = tan(a) / (1 + sqrt(1 + tan(a)**2))
+        y /= 1 + (1 + y * y).sqrt()
+        halvings += 1
+    total, last, power, k, y2 = y, None, y, 1, y * y
+    while total != last:  # Taylor series, until a term no longer changes the sum
+        last, power, k = total, -power * y2, k + 2
+        total += power / k
+    return total * 2**halvings
+
+
+def _t_sf(t: float, df: int) -> float:
+    """P(T > t) for Student's t with ``df`` degrees of freedom, correctly rounded.
+
+    A&S 26.7.3-26.7.4 give A = P(|T| < |t|) as a finite sum in sin and cos of
+    theta = atan(|t| / sqrt(df)), plus 2 theta / pi for odd df.  The tail
+    (1 - A) / 2 is summed in ``decimal`` with 40 digits beyond the
+    df * log10|t| that cancel in 1 - A, then rounded once to a float.
+    """
+    if math.isnan(t):
+        return t
+    if t == 0:
+        return 0.5
+    x = abs(t)
+    # The density is below c * df**((df+1)/2) * u**-(df+1) with c < 1/sqrt(2 pi)
+    # < 0.4, so the tail is below 0.4 * df**((df-1)/2) * x**-df; the slack of
+    # 0.4 over 0.3989 covers the rounding of these logs.
+    log_bound = math.log10(0.4) + (df - 1) / 2 * math.log10(df) - df * math.log10(x)
+    if log_bound < _LOG10_HALF_SUBNORMAL:
+        return 0.0 if t > 0 else 1.0
+    odd = df % 2
+    with localcontext() as ctx:
+        ctx.prec = 40 + max(0, math.ceil(df * math.log10(x)))
+        x, nu = Decimal(x), Decimal(df)
+        cos2 = nu / (nu + x * x)
+        sin = x / (nu + x * x).sqrt()
+        # even df: A = sin * (1 + 1/2 cos^2 + 1*3/(2*4) cos^4 + ...)
+        # odd df: A = 2/pi * (theta + sin * cos * (1 + 2/3 cos^2 + 2*4/(3*5) cos^4 + ...))
+        total, term = Decimal(0), Decimal(1)
+        for j in range(1, df // 2 + 1):
+            total += term
+            term *= cos2 * (2 * j - 1 + odd) / (2 * j + odd)
+        if odd:
+            theta, pi = _atan(x / nu.sqrt()), 4 * _atan(Decimal(1))
+            area = 2 * (theta + sin * cos2.sqrt() * total) / pi
+        else:
+            area = sin * total
+        tail = (1 - area) / 2
+        return float(tail if t > 0 else 1 - tail)
+
+
 @dataclass(frozen=True)
 class TTestResult:
     t: float
@@ -517,7 +577,7 @@ def paired_t_test_one_tailed(
             return TTestResult(t=math.inf, p=0.0, significant=True)
         return TTestResult(t=-math.inf, p=1.0, significant=False)
     t = mean / (spread / math.sqrt(n))
-    p = float(stdtr(n - 1, -t))  # the t distribution's survival function at t
+    p = _t_sf(t, n - 1)
     return TTestResult(t=t, p=p, significant=p < 0.05)
 
 

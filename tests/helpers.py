@@ -5,7 +5,9 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 import nbdisc.discretize as discretize_module
@@ -321,3 +323,18 @@ def reference_train(table, labels, variant, opts):
         if improvement < opts.tol:
             break
     return params, trace
+
+
+def student_t_sf(t, df):
+    """P(T > t) for Student's t with ``df`` degrees of freedom, from mpmath at 400 digits.
+
+    The tail is 0.5 * I_x(df/2, 1/2) at x = df / (df + t**2), the regularized
+    incomplete beta, and one minus that for t < 0.  The 400-digit value is
+    rounded once, through an exact fraction: mpmath's own float conversion
+    rounds subnormals twice.
+    """
+    with mpmath.workdps(400):
+        t = mpmath.mpf(t)
+        tail = mpmath.betainc(mpmath.mpf(df) / 2, 0.5, 0, df / (df + t * t), regularized=True) / 2
+        man, exp = (tail if t > 0 else 1 - tail).man_exp
+    return float(Fraction(man) * Fraction(2) ** exp)

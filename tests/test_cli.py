@@ -221,6 +221,17 @@ class TestTrainPredict:
         assert main(["predict", str(model_path), str(separable_csv)]) == 2
         assert capsys.readouterr().err == f"error: {model_path}: not a model file\n"
 
+    def test_empty_missing_token_overrides_model(self, separable_csv, tmp_path):
+        # the model keeps its training token `?`; an explicit empty token still wins
+        model_path = tmp_path / "model.json"
+        main(["train", str(separable_csv), "--output", str(model_path), "--max-iter", "0"])
+        blank = tmp_path / "blank.csv"
+        blank.write_text("x,color,class\n,red,A\n5.5,blue,B\n")
+        preds_path = tmp_path / "preds.csv"
+        argv = ["predict", str(model_path), str(blank), "--missing-token", "", "--output"]
+        assert main([*argv, str(preds_path)]) == 0
+        assert [row[0] for row in csv.reader(preds_path.open())] == ["predicted", "A", "B"]
+
     def test_missing_model(self, separable_csv, tmp_path):
         code = main(["predict", str(tmp_path / "no_model.json"), str(separable_csv)])
         assert code == 2
@@ -606,3 +617,13 @@ def test_import_leaves_scipy_stats_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, nbdisc.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    env = dict(os.environ, PYTHONPATH=str(Path(nbdisc.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

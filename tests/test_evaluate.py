@@ -3,12 +3,15 @@ from __future__ import annotations
 import json
 import math
 import re
+import timeit
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from helpers import count_node_evaluations, make_dataset
+from helpers import count_node_evaluations, make_dataset, student_t_sf
 
 import nbdisc.discretize as discretize_module
 import nbdisc.evaluate as evaluate_module
@@ -77,13 +80,34 @@ class TestPairedTTest:
         expected = 0.5 * betainc(df / 2, 0.5, df / (df + result.t**2))
         assert result.p == pytest.approx(float(expected), abs=1e-10)
 
-    def test_p_value_equals_scipy_stats(self):
+    def test_p_value_equals_mpmath_tail(self):
         rng = np.random.default_rng(5)
         for _ in range(300):
             n = int(rng.integers(2, 30))
             a, b = rng.normal(size=n), rng.normal(size=n)
             result = paired_t_test_one_tailed(a, b)
-            assert result.p == float(scipy_stats.t.sf(result.t, n - 1))
+            assert result.p == student_t_sf(result.t, n - 1)
+
+    @given(
+        st.integers(1, 40),
+        st.floats(allow_nan=False, allow_infinity=False) | st.floats(-100.0, 100.0),
+    )
+    @example(29, 1e300)
+    @example(1, 1.7976931348623157e308)
+    @example(1, -1.7976931348623157e308)
+    @example(2, 5e-324)
+    @example(3, -5e-324)
+    @example(39, 1.15e9)  # just short of the zero-tail bound (1.155e9): about 400 digits
+    @example(39, 1.16e9)  # just past it: 0.0 without the sum
+    def test_t_sf_is_correctly_rounded(self, df, t):
+        fastest = min(timeit.repeat(lambda: evaluate_module._t_sf(t, df), number=1, repeat=3))
+        assert evaluate_module._t_sf(t, df) == student_t_sf(t, df)
+        assert fastest < 0.01
+
+    def test_nan_difference_gives_nan_p(self):
+        result = paired_t_test_one_tailed([1.0, math.nan, 2.0], [0.0, 0.0, 0.0])
+        assert math.isnan(result.p)
+        assert not result.significant
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
