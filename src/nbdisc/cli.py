@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="classify a CSV with a saved model")
     p.add_argument("model", help="model file from `nbdisc train`")
-    p.add_argument("input", help="CSV with the training schema (labels may be dummies)")
+    p.add_argument("input", help="CSV with the training schema; any label but the missing token")
     p.add_argument("--missing-token", default=None)
     p.add_argument("--output", help="CSV file for predictions (default: stdout)")
     p.set_defaults(func=cmd_predict)

@@ -56,9 +56,11 @@ def class_codes(labels: Sequence[str] | np.ndarray) -> tuple[np.ndarray, np.ndar
 class Dataset:
     """Columnar table: attribute columns plus one class label per row.
 
-    Numeric columns are float64 (NaN in missing cells); categorical columns
-    are object arrays of tokens. ``missing`` is a (rows, attrs) bool mask.
-    Attribute names are unique: saved models key per-attribute values by name.
+    Numeric columns are float64 (NaN in missing cells), or interval indices
+    after ``apply_scheme``; categorical columns are object arrays of tokens.
+    ``missing`` is a (rows, attrs) bool mask. Attribute names are unique:
+    saved models key per-attribute values by name. Arrays are never written
+    after construction, so transforms share the ones they do not change.
     """
 
     names: list[str]
@@ -254,17 +256,11 @@ def imputation_values(reference: Dataset) -> list[float | str]:
 
 
 def fill_missing(data: Dataset, values: Sequence[float | str]) -> Dataset:
-    """Copy of ``data`` with each column's missing cells set to its fill value."""
+    """``data`` with each column's missing cells set to its fill value."""
     if len(values) != data.n_attrs:
         raise ValueError(f"{len(values)} fill values for {data.n_attrs} attributes")
-    columns = []
-    for j, fill in enumerate(values):
-        filled = data.columns[j].copy()
-        filled[data.missing[:, j]] = fill
-        columns.append(filled)
-    return replace(
-        data, columns=columns, missing=np.zeros_like(data.missing), labels=data.labels.copy()
-    )
+    columns = [np.where(miss, fill, col) for miss, fill, col in zip(data.missing.T, values, data.columns)]
+    return replace(data, columns=columns, missing=np.zeros_like(data.missing))
 
 
 def impute_missing(data: Dataset, reference: Dataset) -> Dataset:
@@ -332,20 +328,17 @@ def split_labeled_fraction(
     total = int(math.floor(fraction * n + 0.5))
 
     classes, codes = class_codes(class_labels)
-    class_rows = {cls: np.flatnonzero(codes == c) for c, cls in enumerate(classes)}
-    raw = {cls: total * len(class_rows[cls]) / n for cls in classes}
-    quota = {cls: int(math.floor(raw[cls])) for cls in classes}
-    leftover = total - sum(quota.values())
-    order = sorted(classes, key=lambda cls: (-(raw[cls] - quota[cls]), cls))
-    for cls in order[:leftover]:
-        quota[cls] += 1
+    raw = total * np.bincount(codes, minlength=len(classes)) / n
+    quota = np.floor(raw).astype(int)
+    # the largest remainders get one more; a stable sort gives ties to the smaller class
+    quota[np.argsort(quota - raw, kind="stable")[: total - quota.sum()]] += 1
 
     rng = np.random.default_rng(seed)
     labeled_parts, unlabeled_parts = [], []
-    for cls in classes:
-        perm = rng.permutation(class_rows[cls])
-        labeled_parts.append(perm[: quota[cls]])
-        unlabeled_parts.append(perm[quota[cls] :])
+    for c in range(len(classes)):
+        perm = rng.permutation(np.flatnonzero(codes == c))
+        labeled_parts.append(perm[: quota[c]])
+        unlabeled_parts.append(perm[quota[c] :])
     labeled = np.sort(np.concatenate(labeled_parts))
     unlabeled = np.sort(np.concatenate(unlabeled_parts))
     return LabeledSplit(labeled_rows=labeled, unlabeled_rows=unlabeled)

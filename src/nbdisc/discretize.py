@@ -398,10 +398,11 @@ def build_scheme(
 
 
 def apply_scheme(scheme: DiscretizationScheme, data: Dataset) -> Dataset:
-    """Map numeric values to interval indices: index = count of cuts <= x.
+    """Map numeric values to integer interval indices: index = count of cuts <= x.
 
-    Out-of-range values clamp into the end intervals by the same rule;
-    categorical columns pass through unchanged.
+    Out-of-range values clamp into the end intervals by the same rule.  The
+    result shares the categorical columns, the missing mask and the labels
+    with ``data``.
     """
     if scheme.names != data.names or scheme.kinds != data.kinds:
         raise ValueError("scheme does not match the dataset attributes")
@@ -410,11 +411,10 @@ def apply_scheme(scheme: DiscretizationScheme, data: Dataset) -> Dataset:
         if kind is AttributeKind.NUMERIC:
             if data.missing[:, j].any():
                 raise ValueError(f"attribute {data.names[j]!r} has missing values; impute first")
-            idx = np.searchsorted(scheme.cuts[j], data.columns[j], side="right")
-            columns.append(idx.astype(float))
+            columns.append(np.searchsorted(scheme.cuts[j], data.columns[j], side="right"))
         else:
-            columns.append(data.columns[j].copy())
-    return replace(data, columns=columns, missing=data.missing.copy(), labels=data.labels.copy())
+            columns.append(data.columns[j])
+    return replace(data, columns=columns)
 
 
 def mutual_information(

@@ -370,7 +370,7 @@ def diagnostics_table(scheme: DiscretizationScheme, disc_data: Dataset) -> Diagn
             AttributeDiagnostic(
                 name=disc_data.names[j],
                 intervals=scheme.n_intervals(j),
-                mi=_mutual_information(disc_data.columns[j].astype(int), codes),
+                mi=_mutual_information(disc_data.columns[j], codes),
             )
         )
     return DiagnosticsTable(rows=rows)
@@ -510,8 +510,9 @@ def _t_sf(t: float, df: int) -> float:
 
     A&S 26.7.3-26.7.4 give A = P(|T| < |t|) as a finite sum in sin and cos of
     theta = atan(|t| / sqrt(df)), plus 2 theta / pi for odd df.  The tail
-    (1 - A) / 2 is summed in ``decimal`` with 40 digits beyond the
-    df * log10|t| that cancel in 1 - A, then rounded once to a float.
+    (1 - A) / 2 is summed in ``decimal`` with 40 digits beyond the -log10 tail
+    that cancel in 1 - A, then rounded once to a float.  The tail is at least
+    the density at |t| + 1, which bounds those digits, as does df * log10|t|.
     """
     if math.isnan(t):
         return t
@@ -526,7 +527,10 @@ def _t_sf(t: float, df: int) -> float:
         return 0.0 if t > 0 else 1.0
     odd = df % 2
     with localcontext() as ctx:
-        ctx.prec = 40 + max(0, math.ceil(df * math.log10(x)))
+        # density c (1 + u**2/df)**-((df+1)/2): -log10 of it at u = x + 1
+        ln_c = math.lgamma((df + 1) / 2) - math.lgamma(df / 2) - math.log(df * math.pi) / 2
+        at_x1 = (df + 1) * math.log10(math.hypot(1, (x + 1) / math.sqrt(df))) - ln_c / math.log(10)
+        ctx.prec = 40 + max(0, math.ceil(min(df * math.log10(x), at_x1)))
         x, nu = Decimal(x), Decimal(df)
         cos2 = nu / (nu + x * x)
         sin = x / (nu + x * x).sqrt()
@@ -549,7 +553,10 @@ def _t_sf(t: float, df: int) -> float:
 class TTestResult:
     t: float
     p: float
-    significant: bool
+
+    @property
+    def significant(self) -> bool:
+        return self.p < 0.05
 
 
 def paired_t_test_one_tailed(
@@ -557,8 +564,8 @@ def paired_t_test_one_tailed(
 ) -> TTestResult:
     """One-tailed paired t-test of H1: mean(a - b) > 0 at the 0.05 level.
 
-    Degenerate cases by convention: all-zero differences give t = 0 (not
-    significant); zero spread with a positive mean is significant.
+    With zero spread every difference equals the mean, so t is 0 when all
+    differences are 0 (p = 0.5) and +inf or -inf otherwise (p = 0 or 1).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -568,17 +575,10 @@ def paired_t_test_one_tailed(
     if n < 2:
         raise ValueError("need at least 2 pairs")
     d = a - b
-    if np.all(d == 0):
-        return TTestResult(t=0.0, p=0.5, significant=False)
     mean = float(d.mean())
     spread = float(d.std(ddof=0))
-    if spread == 0.0:
-        if mean > 0:
-            return TTestResult(t=math.inf, p=0.0, significant=True)
-        return TTestResult(t=-math.inf, p=1.0, significant=False)
-    t = mean / (spread / math.sqrt(n))
-    p = _t_sf(t, n - 1)
-    return TTestResult(t=t, p=p, significant=p < 0.05)
+    t = mean / (spread / math.sqrt(n)) if spread else math.copysign(math.inf, mean) if mean else 0.0
+    return TTestResult(t=t, p=_t_sf(t, n - 1))
 
 
 # --- report emission ----------------------------------------------------------

@@ -323,8 +323,6 @@ def pseudo_label(labeled: Dataset, unlabeled: Dataset, config: KnnConfig) -> np.
     """Predicted class tokens for every unlabeled row, in row order."""
     if labeled.names != unlabeled.names or labeled.kinds != unlabeled.kinds:
         raise ValueError("labeled and unlabeled schemas differ")
-    if unlabeled.n_rows == 0:
-        return np.empty(0, dtype=object)
     space = FeatureSpace.fit(labeled)
     ref = space.encode(labeled)
     queries = space.encode(unlabeled)

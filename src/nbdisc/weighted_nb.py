@@ -67,7 +67,7 @@ def encode_discrete(
     arity = []
     for j, kind in enumerate(disc.kinds):
         if kind is AttributeKind.NUMERIC:
-            columns.append(disc.columns[j].astype(np.int64))
+            columns.append(disc.columns[j])
             arity.append(scheme.n_intervals(j))
         else:
             columns.append(_token_codes(disc.columns[j], vocab[j], unknown=-1))
@@ -165,9 +165,7 @@ def _log_likelihoods(model: NbModel, x: np.ndarray) -> np.ndarray:
         table = np.log(model.cond[j])
         seen = col >= 0
         out[seen, :, j] = table[:, col[seen]].T
-        if (~seen).any():
-            floor = -np.log(model.class_counts + model.arity[j])
-            out[~seen, :, j] = floor
+        out[~seen, :, j] = -np.log(model.class_counts + model.arity[j])
     return out
 
 

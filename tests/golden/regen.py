@@ -3,8 +3,8 @@
     python tests/golden/regen.py
 
 Runs every case of ``tests/test_golden.py`` with the checkout's ``src/`` and
-writes its output files to ``tests/golden/<case>/``, plus the Python, numpy
-and scipy versions to ``tests/golden/versions.json``.
+writes its output files to ``tests/golden/<case>/``, plus the Python and
+numpy versions to ``tests/golden/versions.json``.
 """
 
 from __future__ import annotations

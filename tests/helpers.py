@@ -124,6 +124,32 @@ def dict_codes(tokens, vocab, unknown=None):
     return [index.get(tok, unknown) for tok in tokens]
 
 
+def dict_labeled_split(labels, fraction, seed):
+    """Sorted (labeled, unlabeled) rows of a stratified largest-remainder split.
+
+    Per-class quotas in dicts keyed by token: floor(total * class size / n),
+    plus one for the largest remainders, ties to the smaller token; each
+    class's rows are then permuted in token order by one seeded generator.
+    """
+    labels = list(labels)
+    n = len(labels)
+    total = int(math.floor(fraction * n + 0.5))
+    classes = sorted(set(labels))
+    class_rows = {cls: [i for i, label in enumerate(labels) if label == cls] for cls in classes}
+    raw = {cls: total * len(class_rows[cls]) / n for cls in classes}
+    quota = {cls: int(math.floor(raw[cls])) for cls in classes}
+    leftover = total - sum(quota.values())
+    for cls in sorted(classes, key=lambda cls: (-(raw[cls] - quota[cls]), cls))[:leftover]:
+        quota[cls] += 1
+    rng = np.random.default_rng(seed)
+    labeled, unlabeled = [], []
+    for cls in classes:
+        perm = rng.permutation(np.array(class_rows[cls])).tolist()
+        labeled += perm[: quota[cls]]
+        unlabeled += perm[quota[cls] :]
+    return sorted(labeled), sorted(unlabeled)
+
+
 def counter_mode(tokens):
     """Most frequent token; a tie goes to the smallest of the tied tokens."""
     counts = Counter(tokens)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import (
     counter_mode,
     dict_codes,
+    dict_labeled_split,
     make_dataset,
     reference_load_csv,
 )
@@ -23,6 +24,7 @@ from nbdisc.data import (
     class_codes,
     imputation_values,
     concat_rows,
+    fill_missing,
     impute_missing,
     load_csv,
     load_schema,
@@ -245,6 +247,16 @@ class TestImpute:
         for a, b in zip(once.columns, twice.columns):
             assert a.tolist() == b.tolist()
 
+    def test_fill_leaves_input_unchanged(self, toy_mixed):
+        before = [col.copy() for col in toy_mixed.columns], toy_mixed.missing.copy()
+        out = fill_missing(toy_mixed, imputation_values(toy_mixed))
+        assert toy_mixed.missing.any() and not out.missing.any()
+        for col, kept in zip(toy_mixed.columns, before[0]):
+            assert col.dtype == kept.dtype
+            assert np.array_equal(col, kept, equal_nan=col.dtype != object)
+        assert np.array_equal(toy_mixed.missing, before[1])
+        assert out.labels is toy_mixed.labels
+
     def test_all_missing_reference_rejected(self):
         data = make_dataset({"x": [np.nan, np.nan]}, ["A", "B"], missing=[(0, 0), (1, 0)])
         with pytest.raises(ValueError, match="entirely missing"):
@@ -396,6 +408,18 @@ class TestSplitLabeledFraction:
         merged = sorted(split.labeled_rows.tolist() + split.unlabeled_rows.tolist())
         assert merged == list(range(15))
         assert not set(split.labeled_rows) & set(split.unlabeled_rows)
+
+    @given(
+        st.lists(st.sampled_from(["A", "B", "C", "a", ""]), min_size=1, max_size=40),
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(["A"] * 6 + ["B"] * 4, 0.5, 1)
+    @example(["B", "A", "C", "B", "A", "C"], 0.5, 0)  # three equal remainders, one extra row
+    def test_equals_dict_oracle(self, labels, fraction, seed):
+        split = split_labeled_fraction(labels, fraction, seed)
+        want = dict_labeled_split(labels, fraction, seed)
+        assert (split.labeled_rows.tolist(), split.unlabeled_rows.tolist()) == want
 
     @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5])
     def test_bad_fraction(self, fraction):

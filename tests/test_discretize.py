@@ -475,6 +475,18 @@ class TestScheme:
         out = apply_scheme(scheme, data)
         assert out.columns[0].tolist() == [0, 0, 1, 1]
 
+    def test_apply_gives_integer_indices_and_leaves_input_unchanged(self, toy_mixed):
+        data = impute_missing(toy_mixed, toy_mixed)
+        before = [col.copy() for col in data.columns], data.missing.copy(), data.labels.copy()
+        out = apply_scheme(build_scheme(data, "mdlp"), data)
+        for j in data.numeric_attrs():
+            assert out.columns[j].dtype == np.intp
+        for j in data.categorical_attrs():
+            assert out.columns[j] is data.columns[j]
+        for col, kept in zip(data.columns, before[0]):
+            assert col.dtype == kept.dtype and col.tolist() == kept.tolist()
+        assert np.array_equal(data.missing, before[1]) and data.labels.tolist() == before[2].tolist()
+
     def test_apply_empty_cuts(self):
         data = make_dataset({"x": [1.0, 9.0]}, ["A", "A"])
         scheme = build_scheme(data, "mdlp")

@@ -46,6 +46,7 @@ class TestPairedTTest:
     def test_equal_vectors_not_significant(self):
         result = paired_t_test_one_tailed([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         assert result.t == 0.0
+        assert result.p == 0.5
         assert not result.significant
 
     def test_constant_positive_difference_significant(self):
@@ -57,7 +58,26 @@ class TestPairedTTest:
     def test_constant_negative_difference(self):
         result = paired_t_test_one_tailed([1.0] * 5, [2.0] * 5)
         assert result.t == -math.inf
+        assert result.p == 1.0
         assert not result.significant
+
+    @given(
+        st.lists(st.integers(0, 8), min_size=2, max_size=12).flatmap(lambda a: st.tuples(
+            st.just(a),
+            st.one_of(
+                st.just(a),  # equal vectors
+                st.integers(-8, 8).map(lambda c: [x - c for x in a]),  # constant difference
+                st.lists(st.integers(0, 8), min_size=len(a), max_size=len(a)),
+            ),
+        )),
+    )
+    def test_p_is_the_tail_at_t(self, pair):
+        # accuracies on folds of 8 test rows: exact in binary, so a constant
+        # difference has zero spread
+        a, b = (np.array(v) / 8 for v in pair)
+        result = paired_t_test_one_tailed(a, b)
+        assert result.p == evaluate_module._t_sf(result.t, len(a) - 1)
+        assert result.significant == (result.p < 0.05)
 
     def test_hand_computed_statistic(self):
         # d = [2, -1, 3, 0, 1]: mean 1, n-denominator spread sqrt(2),
@@ -99,6 +119,14 @@ class TestPairedTTest:
     @example(3, -5e-324)
     @example(39, 1.15e9)  # just short of the zero-tail bound (1.155e9): about 400 digits
     @example(39, 1.16e9)  # just past it: 0.0 without the sum
+    @example(100, 3.5)
+    @example(100, -12.0)
+    @example(299, 2.0)
+    @example(299, 40.0)
+    @example(999, 1.7)
+    @example(999, 10.0)
+    @example(999, 66.0)  # just short of the zero-tail bound (66.45)
+    @example(999, -66.0)
     def test_t_sf_is_correctly_rounded(self, df, t):
         fastest = min(timeit.repeat(lambda: evaluate_module._t_sf(t, df), number=1, repeat=3))
         assert evaluate_module._t_sf(t, df) == student_t_sf(t, df)

@@ -14,9 +14,9 @@ categorical columns and ``?`` cells go through imputation first; ``curve``
 keeps the stdout of ``nbdisc curve`` with its default arguments.
 
 Float bits may differ between library versions, so the files are only
-valid for the Python, numpy and scipy versions in ``versions.json``.  A
-change that is meant to move output bytes reruns ``tests/golden/regen.py``
-and says which bytes moved and why.
+valid for the Python and numpy versions in ``versions.json``.  A change
+that is meant to move output bytes reruns ``tests/golden/regen.py`` and
+says which bytes moved and why.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from nbdisc.cli import main
 
@@ -92,9 +91,7 @@ gen = _load_gen()
 
 
 def versions() -> dict[str, str]:
-    return {
-        "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__
-    }
+    return {"python": platform.python_version(), "numpy": np.__version__}
 
 
 def _stdout_of(argv: list[str]) -> bytes:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from helpers import brute_force_knn, brute_force_neighbors, make_dataset
 
 from nbdisc import pseudo
-from nbdisc.data import AttributeKind, stratified_folds
+from nbdisc.data import AttributeKind, impute_missing, stratified_folds
 from nbdisc.pseudo import (
     FeatureSpace,
     KnnConfig,
@@ -421,6 +421,13 @@ class TestPseudoLabel:
     def test_empty_unlabeled(self, iris):
         out = pseudo_label(iris, iris.subset([]), KnnConfig(1))
         assert out.size == 0
+
+    def test_empty_unlabeled_unscreened(self, toy_mixed):
+        # at most k + 8 labeled rows: every row is a candidate, nothing is screened
+        labeled = impute_missing(toy_mixed, toy_mixed)
+        assert labeled.n_rows <= 4 + pseudo._SCREEN_PAD
+        out = pseudo_label(labeled, labeled.subset([]), KnnConfig(4))
+        assert out.dtype == object and out.shape == (0,)
 
     def test_duplicates_copy_labels(self, iris):
         rows = [0, 60, 120]
