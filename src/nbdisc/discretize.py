@@ -70,9 +70,10 @@ class ClassCounts:
 
     @classmethod
     def from_labels(cls, labels: Sequence[str], classes: Sequence[str] | None = None) -> "ClassCounts":
+        """Count per class of ``classes`` (default: the labels' own); others are not counted."""
         vocab = class_codes(labels)[0] if classes is None else classes
-        codes = _token_codes(labels, vocab, unknown=len(vocab))  # labels outside are dropped
-        return cls(np.bincount(codes, minlength=len(vocab) + 1)[:-1])
+        codes = _token_codes(labels, vocab, unknown=-1)
+        return cls(np.bincount(codes[codes >= 0], minlength=len(vocab)))
 
     @property
     def n(self) -> int:
@@ -322,15 +323,10 @@ def equal_frequency(values: Sequence[float] | np.ndarray, bins: int) -> list[flo
         raise ValueError("bins must be at least 1")
     values = np.sort(_numeric_column(values))
     distinct = np.unique(values)
-    n = values.size
-    cuts: set[float] = set()
-    for i in range(1, bins):
-        pos = -(-i * n // bins)  # ceil(i*n/bins), 1-indexed order statistic
-        x = values[pos - 1]
-        nxt = np.searchsorted(distinct, x, side="right")
-        if nxt < distinct.size:
-            cuts.add(float((x + distinct[nxt]) / 2.0))
-    return sorted(cuts)
+    x = values[-(-np.arange(1, bins) * values.size // bins) - 1]  # 0-indexed ceil(i*n/bins)
+    nxt = np.searchsorted(distinct, x, side="right")
+    keep = nxt < distinct.size
+    return np.unique((x[keep] + distinct[nxt[keep]]) / 2.0).tolist()
 
 
 @dataclass

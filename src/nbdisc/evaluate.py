@@ -353,12 +353,12 @@ class DiagnosticsTable:
     rows: list[AttributeDiagnostic]
 
     @property
-    def avg_intervals(self) -> float:
-        return float(np.mean([r.intervals for r in self.rows])) if self.rows else float("nan")
+    def avg_intervals(self) -> float | None:
+        return float(np.mean([r.intervals for r in self.rows])) if self.rows else None
 
     @property
-    def avg_mi(self) -> float:
-        return float(np.mean([r.mi for r in self.rows])) if self.rows else float("nan")
+    def avg_mi(self) -> float | None:
+        return float(np.mean([r.mi for r in self.rows])) if self.rows else None
 
 
 def diagnostics_table(scheme: DiscretizationScheme, disc_data: Dataset) -> DiagnosticsTable:
@@ -682,7 +682,7 @@ def results_document(reports: Sequence[EvalReport], seed: int) -> dict:
         entry = report_to_dict(report)
         entry["vs_first"] = None if vs is None else {
             "candidate_hash": config_hash(vs[0].config),
-            "t": vs[1].t,
+            "t": vs[1].t if math.isfinite(vs[1].t) else None,  # JSON has no Infinity
             "p": vs[1].p,
             "candidate_significantly_better": vs[1].significant,
         }

@@ -45,7 +45,8 @@ class FeatureSpace:
 
     Numeric columns are z-scored; a zero-variance column is mapped to zero so
     it contributes nothing.  Categorical columns become integer codes whose
-    distance contribution is 1 when the codes differ.
+    distance contribution is 1 when the codes differ; a token outside the
+    labeled vocabulary gets -1, which differs from every labeled code.
     """
 
     names: tuple[str, ...]
@@ -90,8 +91,7 @@ class FeatureSpace:
             else:
                 parts.append(np.zeros_like(col))
         for pos, j in enumerate(self.categorical_idx):
-            vocab = self.vocab[pos]
-            parts.append(_token_codes(data.columns[j], vocab, unknown=len(vocab)).astype(float))
+            parts.append(_token_codes(data.columns[j], self.vocab[pos], unknown=-1).astype(float))
         if not parts:
             return np.zeros((data.n_rows, 0))
         return np.column_stack(parts)

@@ -154,18 +154,15 @@ def fit_nb(table: DiscreteTable, labels: Sequence[str] | np.ndarray) -> NbModel:
 
 
 def _log_likelihoods(model: NbModel, x: np.ndarray) -> np.ndarray:
-    """(n, C, m) tensor of log cond(j, x_ij | c); code -1 uses the smoothing floor."""
+    """(n, C, m) tensor of log cond(j, x_ij | c); each attribute's log table gets the
+    smoothing floor -log(N_c + arity) as one more column, which code -1 (unknown) reads."""
     x = np.asarray(x, dtype=np.int64)
-    n, m = x.shape
-    out = np.empty((n, model.n_classes, m))
-    for j in range(m):
-        col = x[:, j]
+    out = np.empty((x.shape[0], model.n_classes, x.shape[1]))
+    for j, col in enumerate(x.T):
         if (col >= model.arity[j]).any() or (col < -1).any():
             raise ValueError(f"attribute {j}: value index out of arity range")
-        table = np.log(model.cond[j])
-        seen = col >= 0
-        out[seen, :, j] = table[:, col[seen]].T
-        out[~seen, :, j] = -np.log(model.class_counts + model.arity[j])
+        floor = -np.log(model.class_counts + model.arity[j])
+        out[:, :, j] = np.column_stack([np.log(model.cond[j]), floor])[:, col].T
     return out
 
 
@@ -322,22 +319,21 @@ def gradient(
 
 # --- training ----------------------------------------------------------------
 
+# Armijo backtracking: each search starts at _FIRST_STEP and halves the step
+# until the objective falls by _ARMIJO_C * step * |grad|^2; below _MIN_STEP it stops.
+_FIRST_STEP, _MIN_STEP, _ARMIJO_C = 1.0, 1e-12, 1e-4
+
 
 @dataclass(frozen=True)
 class TrainOptions:
+    """Stop after ``max_iter`` accepted steps, or one that gains less than ``tol``."""
+
     max_iter: int = 500
     tol: float = 1e-6
-    armijo_c: float = 1e-4
-    init_step: float = 1.0
-    min_step: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.max_iter < 0:
             raise ValueError("max_iter must be at least 0")
-        if not (0 < self.init_step < math.inf and 0 < self.min_step < math.inf):
-            raise ValueError("init_step and min_step must be finite and greater than 0")
-        if not 0 < self.armijo_c < 1:
-            raise ValueError("armijo_c must lie in (0, 1)")
 
 
 @dataclass
@@ -381,17 +377,17 @@ def _train(
         if grad_sq == 0.0 or not math.isfinite(grad_sq):
             break
 
-        step = opts.init_step
-        while step >= opts.min_step:
+        step = _FIRST_STEP
+        while step >= _MIN_STEP:
             W_new, w_new, a_new = W - step * grad_W, w - step * grad_w, a - step * grad_a
             alpha_new = sigmoid(a_new)
             post_new = _posteriors(model, W_new, w_new, alpha_new, loglik)
             value_new = _loss(post_new[0], target)
-            if math.isfinite(value_new) and value_new <= value - opts.armijo_c * step * grad_sq:
+            if math.isfinite(value_new) and value_new <= value - _ARMIJO_C * step * grad_sq:
                 break
             step /= 2.0
         else:
-            break  # no step down to min_step passed the Armijo test
+            break  # no step down to _MIN_STEP passed the Armijo test
         W, w, a, alpha, post = W_new, w_new, a_new, alpha_new, post_new
         improvement = value - value_new
         value = value_new

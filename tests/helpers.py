@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -51,6 +52,44 @@ def make_dataset(columns, labels, kinds=None, missing=None):
         missing=mask,
         labels=np.asarray(labels, dtype=object),
     )
+
+
+def loop_equal_frequency(values, bins):
+    """Equal-frequency cuts one bin boundary at a time, gathered in a set: the
+    midpoint of the ceil(i*n/bins)-th order statistic and the next distinct value."""
+    values = np.sort(np.asarray(values, dtype=float))
+    distinct = np.unique(values)
+    n = values.size
+    cuts = set()
+    for i in range(1, bins):
+        x = values[-(-i * n // bins) - 1]
+        nxt = np.searchsorted(distinct, x, side="right")
+        if nxt < distinct.size:
+            cuts.add(float((x + distinct[nxt]) / 2.0))
+    return sorted(cuts)
+
+
+def loop_log_likelihoods(model, x):
+    """(n, C, m) log cond(j, x_ij | c), one cell at a time; code -1 gets the
+    smoothing floor -log(N_c + arity)."""
+    out = np.empty((len(x), model.n_classes, len(model.arity)))
+    for i, row in enumerate(x):
+        for j, code in enumerate(row):
+            for c in range(model.n_classes):
+                if code == -1:
+                    out[i, c, j] = -np.log(model.class_counts[c] + model.arity[j])
+                else:
+                    out[i, c, j] = np.log(model.cond[j][c, code])
+    return out
+
+
+def strict_json(text):
+    """``json.loads`` that rejects the NaN and Infinity literals, as RFC 8259 does."""
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def reference_load_csv(path, schema_hint=None, missing_token="?"):
@@ -304,7 +343,8 @@ def two_branch_grad(loglik, target, alpha, blended, p_class, p_shared):
 def reference_train(table, labels, variant, opts):
     """Exponent training written only from the public objective and gradient.
 
-    Gradient descent with Armijo backtracking from all-one exponents: every
+    Gradient descent with Armijo backtracking from all-one exponents (first
+    step 1, halved down to 1e-12, sufficient decrease 1e-4): every
     trial is a fresh ``WeightedParams`` scored by ``objective``, and every
     step's gradient comes from ``gradient`` at the accepted point.  Returns
     the final parameters and the objective after the start and each step.
@@ -330,13 +370,13 @@ def reference_train(table, labels, variant, opts):
         grad_sq = float((grad_W**2).sum() + (grad_w**2).sum() + grad_a**2)
         if grad_sq == 0.0 or not math.isfinite(grad_sq):
             break
-        step = opts.init_step
+        step = 1.0
         accepted = None
-        while step >= opts.min_step:
+        while step >= 1e-12:
             a_new = a - step * grad_a
             trial = WeightedParams(params.W - step * grad_W, params.w - step * grad_w, blend(a_new))
             trial_value = objective(model, trial, table.x, labels)
-            if math.isfinite(trial_value) and trial_value <= value - opts.armijo_c * step * grad_sq:
+            if math.isfinite(trial_value) and trial_value <= value - 1e-4 * step * grad_sq:
                 accepted = (trial, a_new, trial_value)
                 break
             step /= 2.0

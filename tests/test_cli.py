@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import count_node_evaluations
+from helpers import count_node_evaluations, strict_json
 
 import nbdisc
 from nbdisc import cli
@@ -337,6 +337,34 @@ class TestBenchCommand:
         assert (tmp_path / "out" / "results.txt").exists()
         table = capsys.readouterr().out
         assert "iris" in table and "sadd+nb" in table
+
+    def test_results_json_is_strict(self, tmp_path):
+        # all-categorical data has no diagnostics averages
+        cat = tmp_path / "cat.csv"
+        cat.write_text("color,shape,class\n" + "".join(
+            f"{'red' if i % 3 else 'blue'},{'box' if i % 2 else 'ball'},{'A' if i % 3 else 'B'}\n"
+            for i in range(12)
+        ))
+        assert main(["bench", "--dataset", str(cat), "--method", "mdlp", "--folds", "3",
+                     "--output-dir", str(tmp_path / "cat")]) == 0
+        doc = strict_json((tmp_path / "cat" / "results.json").read_text())
+        assert doc["runs"][0]["diagnostics"]["avg_intervals"] is None
+        # every fold holds 3 "a" rows and 1 "b" row: 2 bins split them, 1 bin
+        # scores 0.75, so the fold differences are all 0.25 and t is +inf
+        xs = tmp_path / "xs.csv"
+        xs.write_text("x,class\n" + "".join(f"{i},a\n" for i in range(9))
+                      + "".join(f"{20 + i},b\n" for i in range(3)))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "folds": 3, "output_dir": str(tmp_path / "xs"),
+            "datasets": [{"name": "xs", "path": str(xs)}],
+            "configs": [{"method": "eqw", "bins": 2}, {"method": "eqw", "bins": 1}],
+        }))
+        assert main(["bench", str(manifest)]) == 0
+        doc = strict_json((tmp_path / "xs" / "results.json").read_text())
+        assert [run["fold_accuracies"] for run in doc["runs"]] == [[1.0] * 3, [0.75] * 3]
+        assert doc["runs"][1]["vs_first"]["t"] is None
+        assert doc["runs"][1]["vs_first"]["p"] == 0.0
 
     def test_empty_manifest_usage_error(self, tmp_path):
         path = tmp_path / "empty.json"

@@ -11,6 +11,7 @@ from helpers import (
     brute_force_best_cut,
     count_node_evaluations,
     entropy_bits,
+    loop_equal_frequency,
     make_dataset,
     masked_cut_gains,
 )
@@ -396,6 +397,16 @@ class TestUnsupervisedBins:
 
     def test_equal_frequency_ties_dedup(self):
         assert equal_frequency([1, 1, 1, 1, 2], 2) == [1.5]
+
+    @given(
+        st.lists(
+            st.one_of(st.integers(-3, 3).map(float), st.floats(-1e12, 1e12)),
+            min_size=1, max_size=60,
+        ),
+        st.integers(1, 30),
+    )
+    def test_equal_frequency_matches_loop(self, values, bins):
+        assert equal_frequency(values, bins) == loop_equal_frequency(values, bins)
 
     def test_equal_frequency_zero_bins(self):
         with pytest.raises(ValueError):

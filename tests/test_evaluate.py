@@ -11,12 +11,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from helpers import count_node_evaluations, make_dataset, student_t_sf
+from helpers import count_node_evaluations, make_dataset, strict_json, student_t_sf
 
 import nbdisc.discretize as discretize_module
 import nbdisc.evaluate as evaluate_module
 from nbdisc.data import Dataset, stratified_folds
 from nbdisc.evaluate import (
+    DiagnosticsTable,
     EvalReport,
     FittedPipeline,
     PipelineConfig,
@@ -661,6 +662,24 @@ class TestReports:
                 two_reports[0].fold_accuracies, two_reports[1].fold_accuracies
             ).t
         )
+
+    def test_results_document_is_strict_json(self):
+        # no numeric attribute leaves no averages, and equal fold differences
+        # give t = +inf: JSON has neither NaN nor Infinity
+        empty = DiagnosticsTable(rows=[])
+        reports = [
+            EvalReport("cat", PipelineConfig(method="mdlp"), [0.5, 0.75, 1.0], [None] * 3, empty),
+            EvalReport("cat", PipelineConfig(method="eqw"), [0.25, 0.5, 0.75], [None] * 3, empty),
+        ]
+        doc = strict_json(json.dumps(results_document(reports, seed=0)))
+        assert doc["runs"][0]["diagnostics"]["avg_intervals"] is None
+        assert doc["runs"][0]["diagnostics"]["avg_mi"] is None
+        assert doc["runs"][1]["vs_first"] == {
+            "candidate_hash": config_hash(reports[0].config),
+            "t": None,
+            "p": 0.0,
+            "candidate_significantly_better": True,
+        }
 
     def test_unknown_format_rejected(self, two_reports, tmp_path):
         with pytest.raises(ValueError, match="format"):

@@ -7,11 +7,16 @@ benchmark's bench workloads at seed 0 with 3 folds, their input built with
 shape shrunk to 2000 training and 2000 scored rows.  ``iris`` runs both
 supervised discretizers with every classifier on ``tests/data/iris.csv``,
 plus ``sadd+rnb`` at labeled fraction 0.3, and is also run with ``--jobs 2``.
-``discretize`` runs ``nbdisc discretize`` on iris with ``sadd`` and ``mdlp``
-and keeps the scheme, the diagnostics CSV and stdout of each;
-``discretize-mixed`` does the same on ``tests/data/toy_mixed.csv``, whose
-categorical columns and ``?`` cells go through imputation first; ``curve``
-keeps the stdout of ``nbdisc curve`` with its default arguments.
+``unseen-tokens`` reaches the codes for tokens outside a vocabulary: its
+bench input carries a rare ``cat0`` token that the labeled rows of
+``sadd+nb@0.1`` (transductive and inductive) mostly miss, so k-NN meets it
+as an unknown category, and its ``train``/``predict`` round trip scores a
+file with a token the training file lacks.  ``discretize`` runs ``nbdisc
+discretize`` on iris with ``sadd`` and ``mdlp`` and keeps the scheme, the
+diagnostics CSV and stdout of each; ``discretize-mixed`` does the same on
+``tests/data/toy_mixed.csv``, whose categorical columns and ``?`` cells go
+through imputation first; ``curve`` keeps the stdout of ``nbdisc curve``
+with its default arguments.
 
 Float bits may differ between library versions, so the files are only
 valid for the Python and numpy versions in ``versions.json``.  A change
@@ -76,8 +81,17 @@ TRAIN_PREDICT = (
     2000,
     2000,
 )
+RARE_TOKEN = "v9"  # gen.py writes the levels v0..v4 only
+# gen.Shape fields, and (rows, rows per rare token) of the bench input, the
+# training file and the scored file
+UNSEEN_SHAPE = {"numeric": 4, "categorical": 2, "classes": 3, "missing": 0.02, "separation": 0.8}
+UNSEEN_ROWS = {"bench": (600, 150), "train": (800, None), "score": (800, 40)}
+UNSEEN_CONFIGS = [
+    {"method": "sadd", "classifier": "nb", "labeled_fraction": 0.1},
+    {"method": "sadd", "classifier": "nb", "labeled_fraction": 0.1, "transductive": False},
+]
 DISCRETIZE_CASES = {"discretize": IRIS, "discretize-mixed": TOY_MIXED}
-CASES = [*BENCH_CASES, "train-predict", "iris", *DISCRETIZE_CASES, "curve"]
+CASES = [*BENCH_CASES, "train-predict", "iris", "unseen-tokens", *DISCRETIZE_CASES, "curve"]
 
 
 def _load_gen():
@@ -101,6 +115,37 @@ def _stdout_of(argv: list[str]) -> bytes:
     return out.getvalue().encode()
 
 
+def _bench(name: str, data: Path, configs: list[dict], work: Path, jobs: int) -> list[Path]:
+    manifest = work / "manifest.json"
+    manifest.write_text(json.dumps({
+        "seed": SEED,
+        "folds": FOLDS,
+        "output_dir": str(work / "out"),
+        "datasets": [{"name": name, "path": str(data)}],
+        "configs": configs,
+    }))
+    assert main(["bench", str(manifest), "--jobs", str(jobs)]) == 0
+    return [work / "out" / "results.json", work / "out" / "results.txt"]
+
+
+def _train_predict(data: Path, score: Path, work: Path, *train_args: str) -> list[Path]:
+    model, preds = work / "model.json", work / "preds.csv"
+    assert main(["train", str(data), *train_args, "--output", str(model)]) == 0
+    assert main(["predict", str(model), str(score), "--output", str(preds)]) == 0
+    return [model, preds]
+
+
+def _unseen_records(part: str, stream: int) -> list[list[str]]:
+    """gen.py rows with ``RARE_TOKEN`` as ``cat0`` of every so many rows."""
+    rows, every = UNSEEN_ROWS[part]
+    records = gen.generate(gen.Shape(**UNSEEN_SHAPE), rows, SEED, stream=stream)
+    col = records[0].index("cat0")
+    if every:
+        for record in records[1::every]:
+            record[col] = RARE_TOKEN
+    return records
+
+
 def produce(case: str, work: Path, jobs: int = 1) -> dict[str, bytes]:
     """Run ``case`` in ``work`` and return its output files by name."""
     data = work / "data.csv"
@@ -118,29 +163,24 @@ def produce(case: str, work: Path, jobs: int = 1) -> dict[str, bytes]:
         return files
     if case == "train-predict":
         shape, rows, scored = TRAIN_PREDICT
-        score, model, preds = work / "score.csv", work / "model.json", work / "preds.csv"
+        score = work / "score.csv"
         gen.write(data, gen.generate(gen.Shape(**shape), rows, SEED))
         gen.write(score, gen.generate(gen.Shape(**shape), scored, SEED, stream=1))
-        assert main(["train", str(data), "--method", "sadd", "--classifier", "nb",
-                     "--output", str(model)]) == 0
-        assert main(["predict", str(model), str(score), "--output", str(preds)]) == 0
-        outputs = [model, preds]
+        outputs = _train_predict(data, score, work, "--method", "sadd", "--classifier", "nb")
+    elif case == "unseen-tokens":
+        train, score = work / "train.csv", work / "score.csv"
+        gen.write(data, _unseen_records("bench", 0))
+        gen.write(train, _unseen_records("train", 1))
+        gen.write(score, _unseen_records("score", 2))
+        outputs = _bench(case, data, UNSEEN_CONFIGS, work, jobs) + _train_predict(
+            train, score, work, "--method", "sadd", "--classifier", "rnb", "--max-iter", "100"
+        )
+    elif case == "iris":
+        outputs = _bench(case, IRIS, IRIS_CONFIGS, work, jobs)
     else:
-        if case == "iris":
-            data, configs = IRIS, IRIS_CONFIGS
-        else:
-            shape, rows, configs = BENCH_CASES[case]
-            gen.write(data, gen.generate(gen.Shape(**shape), rows, SEED))
-        manifest = work / "manifest.json"
-        manifest.write_text(json.dumps({
-            "seed": SEED,
-            "folds": FOLDS,
-            "output_dir": str(work / "out"),
-            "datasets": [{"name": case, "path": str(data)}],
-            "configs": configs,
-        }))
-        assert main(["bench", str(manifest), "--jobs", str(jobs)]) == 0
-        outputs = [work / "out" / "results.json", work / "out" / "results.txt"]
+        shape, rows, configs = BENCH_CASES[case]
+        gen.write(data, gen.generate(gen.Shape(**shape), rows, SEED))
+        outputs = _bench(case, data, configs, work, jobs)
     return {path.name: path.read_bytes() for path in outputs}
 
 

@@ -331,6 +331,25 @@ class TestFeatureSpace:
         ref = space.encode(labeled)
         assert knn_predict(ref, ["A", "B"], ref[1], KnnConfig(1), space=space) == "B"
 
+    def test_unseen_token_is_minus_one_and_one_away_from_every_row(self):
+        labeled = make_dataset(
+            {"x": [0.0, 1.0, 3.0, 4.0], "c": ["red", "blue", "red", "green"],
+             "d": ["s", "s", "t", "t"]},
+            ["A", "B", "A", "B"],
+        )
+        space = FeatureSpace.fit(labeled)
+        ref = space.encode(labeled)
+        seen = make_dataset({"x": [2.0], "c": ["red"], "d": ["t"]}, ["?"])
+        unseen = make_dataset({"x": [2.0], "c": ["pink"], "d": ["t"]}, ["?"])
+        query = space.encode(unseen)
+        assert query[0, 1:].tolist() == [-1.0, 1.0]
+        # "pink" mismatches every row, "red" only the rows that are not red
+        not_red = np.array([0.0, 1.0, 0.0, 1.0])
+        assert np.array_equal(
+            _distance_sq(space, ref, query)[0],
+            _distance_sq(space, ref, space.encode(seen))[0] + 1.0 - not_red,
+        )
+
     def test_missing_values_rejected(self):
         data = make_dataset({"x": [1.0, np.nan]}, ["A", "B"], missing=[(1, 0)])
         with pytest.raises(ValueError, match="impute"):

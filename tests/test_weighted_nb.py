@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from helpers import (
     brute_force_nb_posterior,
+    loop_log_likelihoods,
     make_dataset,
     reference_train,
     two_branch_grad,
     two_branch_posteriors,
 )
 
+import nbdisc.weighted_nb as weighted_nb
 from nbdisc.data import categorical_vocab, impute_missing
 from nbdisc.discretize import apply_scheme, build_scheme
 from nbdisc.weighted_nb import (
@@ -228,6 +230,23 @@ class TestOneBranchKernel:
             assert grad[2] == 0.0
 
 
+class TestLogLikelihoods:
+    @given(
+        arity=st.lists(st.integers(1, 5), min_size=1, max_size=5),
+        n_classes=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_match_cell_loop(self, arity, n_classes, seed):
+        rng = np.random.default_rng(seed)
+        train = rng.integers(0, arity, size=(20, len(arity)))
+        labels = rng.permutation([f"c{i % n_classes}" for i in range(20)])
+        model = fit_nb(table_from(train, arity), labels)
+        x = rng.integers(-1, arity, size=(15, len(arity)))
+        x[0] = -1  # every attribute meets an unknown token
+        got = _log_likelihoods(model, x)
+        assert got.tobytes() == loop_log_likelihoods(model, x).tobytes()
+
+
 class TestClassAxisReductions:
     """The column-loop reductions equal numpy's, bit for bit."""
 
@@ -364,10 +383,11 @@ class TestTrainers:
         assert (steps <= 0).all()
 
     @pytest.mark.parametrize("trainer", [train_rnb, train_wanbia, train_cawnb])
-    def test_huge_first_step_finishes(self, trainer, iris_table):
+    def test_huge_first_step_finishes(self, trainer, iris_table, monkeypatch):
         # a trial with a = -1e308 once overflowed math.exp in the rnb blend
+        monkeypatch.setattr(weighted_nb, "_FIRST_STEP", 1e308)
         table, labels = iris_table
-        result = trainer(table, labels, TrainOptions(init_step=1e308, max_iter=5))
+        result = trainer(table, labels, TrainOptions(max_iter=5))
         assert (np.diff(result.objectives) <= 0).all()
         assert 0.0 <= result.params.alpha <= 1.0
 
@@ -388,22 +408,7 @@ class TestTrainers:
         assert result.objectives == objectives
         assert len(objectives) > 2
 
-    @pytest.mark.parametrize(
-        "name, value",
-        [
-            ("init_step", math.inf),
-            ("init_step", math.nan),
-            ("init_step", 0.0),
-            ("min_step", -1e-12),
-            ("min_step", math.inf),
-            ("max_iter", -1),
-            ("armijo_c", 0.0),
-            ("armijo_c", 1.0),
-            ("armijo_c", -1.0),
-            ("armijo_c", math.nan),
-            ("armijo_c", math.inf),
-        ],
-    )
+    @pytest.mark.parametrize("name, value", [("max_iter", -1)])
     def test_bad_options_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             TrainOptions(**{name: value})
