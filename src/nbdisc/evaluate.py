@@ -112,6 +112,12 @@ class PipelineConfig:
             raise ValueError(f"unknown classifier {self.classifier!r}")
         if not 0.0 < self.labeled_fraction <= 1.0:
             raise ValueError("labeled_fraction must be in (0, 1]")
+        if self.n0 < 1:
+            raise ValueError("n0 must be at least 1")
+        if self.bins < 1:
+            raise ValueError("bins must be at least 1")
+        if not self.k_grid or min(self.k_grid) < 1:
+            raise ValueError("k_grid must hold at least one k, each at least 1")
         if self.pseudo_label and self.method in ("eqw", "eqf"):
             raise ValueError("pseudo-labeling requires a discretizer that consumes labels")
         if self.seed < 0:
@@ -188,11 +194,34 @@ class FittedPipeline:
         )
 
 
-def _once(stages: dict, key: tuple, compute: Callable[[], object]):
-    """``stages[key]``, set to ``compute()`` on the first call for ``key``."""
+# The PipelineConfig fields each shared stage reads.  ``_once`` keys a stage's
+# result by its input rows and the values of these fields, so a field missing
+# here would hand one config the result computed for another.
+STAGE_READS: dict[str, tuple[str, ...]] = {
+    "impute": (),
+    "split": ("labeled_fraction", "seed"),
+    "k": ("k_grid", "seed"),
+    "pseudo": ("transductive",),
+    "nodes": (),
+    "scheme": ("method", "n0", "bins"),
+    "model": (),
+    "diagnostics": ("method", "n0", "bins"),
+}
+
+
+def _once(stages: dict, stage: str, rows, config: PipelineConfig, compute: Callable[[], object]):
+    """``(key, compute())`` for the key (stage, ``rows``, ``config``'s values of the
+    ``STAGE_READS[stage]`` fields), computed once; an error it raised is raised again.
+    ``rows`` is the key of the stage's input rows; None names the rows of ``stages``."""
+    key = (stage, rows, *(getattr(config, name) for name in STAGE_READS[stage]))
     if key not in stages:
-        stages[key] = compute()
-    return stages[key]
+        try:
+            stages[key] = compute()
+        except Exception as exc:  # noqa: BLE001 - each config that shares the key gets it
+            stages[key] = exc
+    if isinstance(stages[key], Exception):
+        raise stages[key]
+    return key, stages[key]
 
 
 def fit_pipeline(
@@ -206,70 +235,63 @@ def fit_pipeline(
 
     ``test`` contributes features only: its categories join the vocabulary,
     and with a transductive pseudo-labeling config its rows join the pool.
-    Returns the fitted pipeline and the k chosen for pseudo-labeling (None
-    when nothing was pseudo-labeled).  Calls on the same rows may share one
-    ``stages`` dict, which keeps each stage's result under the config fields
-    it reads; it changes what is recomputed, never a result.
+    ``seed``, when given, replaces ``config.seed``.  Returns the fitted pipeline
+    and the k chosen for pseudo-labeling (None when nothing was pseudo-labeled).
+    Calls on the same rows may share one ``stages`` dict, which keys each stage's
+    result by its input rows and the fields ``STAGE_READS`` names for it; it
+    changes what is recomputed, never a result.
     """
-    seed = config.seed if seed is None else seed
+    config = config if seed is None else replace(config, seed=seed)
     stages = {} if stages is None else stages
     stage = "impute"
     try:
         # impute_missing, not fill_missing: the benchmark's trace times the
         # training rows' imputation under that name
-        imp_train, fill = _once(stages, ("impute",), lambda: (
+        rows, (imp_train, fill) = _once(stages, "impute", None, config, lambda: (
             impute_missing(train, train), imputation_values(train)
         ))
         imp_test = None if test is None else fill_missing(test, fill)
 
         stage = "split"
-        split_key = ("split", config.labeled_fraction, seed)
+        labeled_rows, labeled, unlabeled = rows, imp_train, None
         if config.labeled_fraction < 1.0:
-            split = _once(stages, split_key, lambda: split_labeled_fraction(
-                imp_train.labels, config.labeled_fraction, _child_seed(seed, 1)
+            labeled_rows, split = _once(stages, "split", rows, config, lambda: split_labeled_fraction(
+                imp_train.labels, config.labeled_fraction, _child_seed(config.seed, 1)
             ))
             labeled = imp_train.subset(split.labeled_rows)
             unlabeled = imp_train.subset(split.unlabeled_rows)
-        else:
-            labeled = imp_train
-            unlabeled = None
 
         stage = "pseudo-label"
         selected_k = None
-        rows_key = split_key
+        scheme_rows, scheme_data = labeled_rows, labeled
         # an empty pool leaves the plain supervised path, so the transductive
         # and inductive pipelines coincide when nothing is unlabeled
         parts = [unlabeled, imp_test if config.transductive else None]
         parts = [part for part in parts if part is not None and part.n_rows]
         if config.uses_pseudo_labels and parts:
             pool = concat_rows(parts)
-            selected_k = _once(stages, ("k", split_key, config.k_grid), lambda: select_k(
-                labeled, config.k_grid, _child_seed(seed, 2)
-            ))
-            rows_key = ("pseudo", split_key, config.transductive, selected_k)
-            pseudo = _once(stages, rows_key, lambda: pseudo_label(
-                labeled, pool, KnnConfig(selected_k)
+            selected_k = _once(stages, "k", labeled_rows, config, lambda: select_k(
+                labeled, config.k_grid, _child_seed(config.seed, 2)
+            ))[1]
+            scheme_rows, pseudo = _once(stages, "pseudo", (labeled_rows, selected_k), config, lambda: (
+                pseudo_label(labeled, pool, KnnConfig(selected_k))
             ))
             scheme_data = concat_rows([labeled, replace(pool, labels=pseudo)])
-        elif config.method in ("eqw", "eqf"):
-            rows_key = ("all",)
-            scheme_data = imp_train
-        else:
-            scheme_data = labeled
+        elif config.method in ("eqw", "eqf"):  # they read no labels: every row counts
+            scheme_rows, scheme_data = rows, imp_train
 
         stage = "discretize"
-        scheme_key = ("scheme", rows_key, config.method, config.n0, config.bins)
-        scheme = _once(stages, scheme_key, lambda: build_scheme(
+        scheme_key, scheme = _once(stages, "scheme", scheme_rows, config, lambda: build_scheme(
             scheme_data, config.method, n0=config.n0, bins=config.bins,
-            nodes=_once(stages, ("nodes", rows_key), dict),
+            nodes=_once(stages, "nodes", scheme_rows, config, dict)[1],
         ))
         vocab = categorical_vocab([imp_train] if imp_test is None else [imp_train, imp_test])
         # not kept: a fold would hold one (rows, attrs) table per scheme
         table = encode_discrete(apply_scheme(scheme, labeled), scheme, vocab)
 
         stage = "fit"
-        model_key = ("model", scheme_key, split_key)
-        model = _once(stages, model_key, lambda: fit_nb(table, labeled.labels))
+        model_rows = (scheme_key, labeled_rows)
+        model = _once(stages, "model", model_rows, config, lambda: fit_nb(table, labeled.labels))[1]
         opts = TrainOptions(max_iter=config.max_iter, tol=config.tol)
         if config.classifier == "nb":
             params = identity_params(model)
@@ -322,13 +344,11 @@ def run_folds(
 ) -> list[FoldResult | PipelineError]:
     """``run_fold`` of each config on fold number ``fold``, each stage computed once.
 
-    Configs share a stage when they agree on the fields it reads: imputation
-    per fold; the labeled split per (labeled_fraction, seed); select_k per
-    (split, k_grid) and pseudo_label per (split, transductive, k); split nodes
-    per scheme rows; the scheme per (scheme rows, method, n0, bins); fit_nb
-    per scheme.  The results live in one stage dict that ``run_fold`` gets for
-    every config and that is dropped on return.  A failed config's
-    PipelineError, with a ``fold N:`` prefix, takes the place of its result.
+    Configs share a stage when they agree on its input rows and on the
+    fields that ``STAGE_READS`` names for it.  The results live in one stage
+    dict that ``run_fold`` gets for every config and that is dropped on
+    return.  A failed config's PipelineError, with a ``fold N:`` prefix,
+    takes the place of its result.
     """
     stages: dict = {}
     outcomes: list[FoldResult | PipelineError] = []
@@ -436,10 +456,11 @@ def cross_validate_configs(
     Configs with the same seed share a fold plan; each fold of a plan is one
     ``run_folds`` task ``(train_rows, test_rows, configs, fold)``.
     ``map_folds`` runs the tasks and yields their outcomes in order (default:
-    one after another in this process).  Whole-data diagnostics are built
-    once per (method, n0, bins), on one self-imputed copy of ``data`` and
-    split nodes kept for this call.  Each config gets its report, or the
-    error of its fold plan, of its first failing fold, or of its diagnostics.
+    one after another in this process).  Whole-data diagnostics are built on
+    one self-imputed copy of ``data``, with split nodes kept for this call,
+    and shared as ``STAGE_READS["diagnostics"]`` says.  Each config gets its
+    report, or the error of its fold plan, of its first failing fold, or of
+    its diagnostics.
     """
     groups: dict[int, list[PipelineConfig]] = {}
     for config in dict.fromkeys(configs):
@@ -466,21 +487,19 @@ def cross_validate_configs(
             else:
                 results[config].append((outcome.accuracy, outcome.selected_k))
 
-    # the whole dataset self-imputed, its split nodes, and per (method, n0,
-    # bins) a diagnostics table or the error that building it raised
     stages: dict = {}
     reports: list[EvalReport | Exception] = []
     for config in configs:
-        key = (config.method, config.n0, config.bins)
         outcome = failed.get(config)
         if outcome is None and with_diagnostics:
             try:
-                outcome = _once(stages, key, lambda: whole_data_diagnostics(
-                    _once(stages, ("imputed",), lambda: impute_missing(data, data)), *key,
-                    nodes=_once(stages, ("nodes",), dict),
-                )[1])
+                rows, imputed = _once(stages, "impute", None, config, lambda: impute_missing(data, data))
+                outcome = _once(stages, "diagnostics", rows, config, lambda: whole_data_diagnostics(
+                    imputed, config.method, config.n0, config.bins,
+                    nodes=_once(stages, "nodes", rows, config, dict)[1],
+                )[1])[1]
             except Exception as exc:  # noqa: BLE001 - reported as this config's outcome
-                outcome = stages[key] = exc
+                outcome = exc
         if not isinstance(outcome, Exception):  # a table or None
             accuracies, ks = map(list, zip(*results[config]))
             outcome = EvalReport(dataset_name, config, accuracies, ks, outcome)
@@ -704,8 +723,10 @@ def emit_report(
             json.dumps(results_document(reports, seed), indent=2, sort_keys=True) + "\n"
         )
     elif format == "table":
-        configs = dict.fromkeys(r.config for r in reports)
-        header = [f"# seed: {seed}"] + [f"# config {config_hash(c)}: {c.label()}" for c in configs]
+        configs = list(dict.fromkeys(r.config for r in reports))
+        header = [f"# seed: {seed}"] + [
+            f"# config {config_hash(c)}: {label}" for c, label in zip(configs, _distinct_labels(configs))
+        ]
         Path(path).write_text("\n".join(header) + "\n" + format_comparison_table(reports) + "\n")
     else:
         raise ValueError(f"unknown report format {format!r}")
@@ -715,6 +736,23 @@ def load_results(path: str | Path) -> dict:
     return json.loads(Path(path).read_text())
 
 
+def _distinct_labels(configs: Sequence[PipelineConfig]) -> list[str]:
+    """``label()`` of each config; configs that share a label each get
+    ``name=value``, the value as JSON, for every field in which they differ."""
+    by_label: dict[str, list[PipelineConfig]] = {}
+    for config in configs:
+        by_label.setdefault(config.label(), []).append(config)
+    labels = []
+    for config in configs:
+        same = by_label[config.label()]
+        doc = config_to_dict(config)
+        differ = [name for name in doc if len({getattr(c, name) for c in same}) > 1]
+        labels.append(" ".join([config.label()] + [
+            f"{name}={json.dumps(doc[name], separators=(',', ':'))}" for name in differ
+        ]))
+    return labels
+
+
 def format_comparison_table(reports: Sequence[EvalReport]) -> str:
     """Aligned accuracy table; a bullet marks configurations that their
     dataset's candidate (its first report) significantly outperforms."""
@@ -722,7 +760,7 @@ def format_comparison_table(reports: Sequence[EvalReport]) -> str:
     configs = list(dict.fromkeys(r.config for r in reports))
     by_key = {(r.dataset, r.config): (r, vs) for r, vs in zip(reports, _vs_candidate(reports))}
 
-    header = ["dataset"] + [c.label() for c in configs]
+    header = ["dataset"] + _distinct_labels(configs)
     lines = []
     for ds in datasets:
         row = [ds]

@@ -298,6 +298,20 @@ class TestTrainPredict:
         assert "duplicate attribute names: ['a']" in capsys.readouterr().err
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--method", "mdlp", "--n0", "0"], "n0 must be at least 1"),
+        (["--method", "eqw", "--bins", "0"], "bins must be at least 1"),
+    ])
+    def test_out_of_range_config_rejected_before_loading(
+        self, flags, message, separable_csv, tmp_path, capsys, monkeypatch
+    ):
+        loads = []
+        monkeypatch.setattr(cli, "_load_dataset", lambda *args: loads.append(args))
+        model_path = tmp_path / "model.json"
+        assert main(["train", str(separable_csv), *flags, "--output", str(model_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert loads == [] and not model_path.exists()
+
     def test_negative_max_iter_rejected(self, separable_csv, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         code = main(["train", str(separable_csv), "--max-iter", "-1", "--output", str(model_path)])
@@ -384,9 +398,15 @@ class TestBenchCommand:
         lambda m: {**m, "seed": True},
         lambda m: {**m, "datasets": [{**m["datasets"][0], "schema": 5}]},
         lambda m: {**m, "datasets": [*m["datasets"], {"name": "iris", "path": "other.csv"}]},
+        lambda m: {**m, "configs": [{"method": "sadd", "n0": 0}]},
+        lambda m: {**m, "configs": [{"method": "mdlp", "n0": 0}]},
+        lambda m: {**m, "configs": [{"method": "eqw", "bins": 0}]},
+        lambda m: {**m, "configs": [{"k_grid": []}]},
+        lambda m: {**m, "configs": [{"k_grid": [3, 0]}]},
     ], ids=["list", "datasets-string", "configs-number", "config-number", "k_grid-null",
             "labeled_fraction-string", "seed-string", "output_dir-number", "folds-float",
-            "seed-bool", "schema-number", "dataset-name-repeated"])
+            "seed-bool", "schema-number", "dataset-name-repeated", "n0-zero", "mdlp-n0-zero",
+            "bins-zero", "k_grid-empty", "k_grid-zero"])
     def test_malformed_manifest_usage_error(
         self, change, iris_path, tmp_path, capsys, monkeypatch
     ):

@@ -170,6 +170,10 @@ class TestSaddThreshold:
     def test_zero_threshold_stays_zero(self):
         assert sadd_threshold(0.0, 10, 100) == 0.0
 
+    @pytest.mark.parametrize("n0", [1, 2000])
+    def test_single_row_node(self, n0):
+        assert sadd_threshold(0.5, 1, n0) == 0.5 / (1 + math.exp(-1 / n0))
+
     def test_bad_counts_rejected(self):
         with pytest.raises(ValueError):
             sadd_threshold(0.5, 0, 100)
@@ -231,6 +235,12 @@ class TestPartitions:
 
     def test_sadd_contains_mdlp_cuts(self):
         assert set(sadd_partition([1, 2, 3, 4], ["A", "A", "B", "B"], 2000)) >= {3}
+
+    def test_sadd_at_n0_one(self, iris):
+        assert sadd_partition([1, 2, 3, 4], ["A", "A", "B", "B"], 1) == [3]
+        # sigmoid(n) < 1 lowers every threshold below mdlp's
+        column = iris.columns[0]
+        assert set(sadd_partition(column, iris.labels, 1)) >= set(mdlp_partition(column, iris.labels))
 
     def test_sadd_constant(self):
         assert sadd_partition([7, 7], ["A", "B"], 2000) == []
@@ -445,6 +455,11 @@ class TestScheme:
         data = make_dataset(columns, ["A", "B", "A"])
         with pytest.raises(ValueError, match=message):
             build_scheme(data, method, **params)
+
+    def test_n0_is_checked_for_sadd_only(self, iris):
+        # mdlp records no n0, so it builds from any
+        cuts = [c.tolist() for c in build_scheme(iris, "mdlp", n0=0).cuts]
+        assert cuts == [c.tolist() for c in build_scheme(iris, "mdlp").cuts]
 
     @pytest.mark.parametrize("fixture", ["iris", "toy_mixed"])
     @pytest.mark.parametrize("method", ["mdlp", "sadd"])

@@ -4,10 +4,11 @@ import json
 import math
 import re
 import timeit
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
@@ -17,9 +18,11 @@ import nbdisc.discretize as discretize_module
 import nbdisc.evaluate as evaluate_module
 from nbdisc.data import Dataset, stratified_folds
 from nbdisc.evaluate import (
+    STAGE_READS,
     DiagnosticsTable,
     EvalReport,
     FittedPipeline,
+    FoldResult,
     PipelineConfig,
     PipelineError,
     config_from_dict,
@@ -41,6 +44,7 @@ from nbdisc.evaluate import (
     whole_data_diagnostics,
 )
 from nbdisc.discretize import apply_scheme, build_scheme
+from nbdisc.pseudo import DEFAULT_K_GRID
 
 
 class TestPairedTTest:
@@ -178,6 +182,18 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match="seed"):
             PipelineConfig(seed=-1)
 
+    @pytest.mark.parametrize("method", ["mdlp", "sadd", "eqw", "eqf"])
+    @pytest.mark.parametrize("field, value, message", [
+        ("n0", 0, "n0 must be at least 1"),
+        ("bins", 0, "bins must be at least 1"),
+        ("k_grid", (), "k_grid must hold at least one k"),
+        ("k_grid", (3, 0), "k_grid must hold at least one k"),
+    ])
+    def test_out_of_range_fields_rejected_for_every_method(self, method, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig(method=method, **{field: value})
+        PipelineConfig(method=method, n0=1, bins=1, k_grid=(1,))
+
     def test_label_reflects_pseudo_override(self):
         assert PipelineConfig(method="mdlp", pseudo_label=True).label() == "mdlp+nb:pl"
         assert PipelineConfig(method="sadd", pseudo_label=False).label() == "sadd+nb:nopl"
@@ -232,6 +248,10 @@ class TestRunFold:
     def test_empty_test_rejected(self, iris):
         with pytest.raises(PipelineError, match="non-empty"):
             run_fold(iris, [0, 1, 2], [], PipelineConfig())
+
+    def test_empty_train_rejected(self, iris):
+        with pytest.raises(PipelineError, match=r"^\[setup\] train and test rows must be non-empty$"):
+            run_fold(iris, [], [0, 1, 2], PipelineConfig(method="mdlp"))
 
     def test_out_of_range_rows_rejected(self, iris):
         with pytest.raises(PipelineError, match=r"\[setup\] row index out of range"):
@@ -503,6 +523,66 @@ class TestFoldMajor:
         assert ok.accuracy > 0.8
 
 
+@st.composite
+def shared_stage_configs(draw):
+    """A config over every field some shared stage reads; trainers take at most 3 steps."""
+    method = draw(st.sampled_from(["mdlp", "sadd", "eqw", "eqf"]))
+    return PipelineConfig(
+        method=method,
+        classifier=draw(st.sampled_from(["nb", "wanbia", "cawnb", "rnb"])),
+        n0=draw(st.sampled_from([1, 40, 2000])),
+        bins=draw(st.sampled_from([1, 3])),
+        pseudo_label=draw(st.sampled_from([None, False] + [True] * (method in ("mdlp", "sadd")))),
+        transductive=draw(st.booleans()),
+        labeled_fraction=draw(st.sampled_from([0.3, 0.6, 1.0])),
+        k_grid=draw(st.sampled_from([(1,), (15,), (1, 15), DEFAULT_K_GRID])),
+        max_iter=draw(st.integers(0, 3)),
+        seed=draw(st.integers(0, 1)),
+    )
+
+
+def fold_outcome(result):
+    """A fold's result, or its failure as (stage, message)."""
+    return (result.stage, str(result)) if isinstance(result, Exception) else result
+
+
+def no_fold_work(tasks):
+    """``map_folds`` that scores every config 1.0 on every fold without fitting anything."""
+    return ([FoldResult(1.0, None, [])] * len(group) for _, _, group, _ in tasks)
+
+
+class TestStageSharing:
+    @settings(max_examples=30)
+    @given(configs=st.lists(shared_stage_configs(), min_size=2, max_size=4))
+    # k = 15 alone on iris, but k = 1 beside k_grid (1,) if select_k's key
+    # misses k_grid; then pairs that differ in one field on the same rows,
+    # which the drawn lists miss: transductive, select_k's seed, and n0
+    @example(configs=[PipelineConfig(labeled_fraction=0.3, k_grid=k_grid) for k_grid in [(1,), (15,)]])
+    @example(configs=[PipelineConfig(labeled_fraction=0.3, transductive=t) for t in (True, False)])
+    @example(configs=[PipelineConfig(seed=seed) for seed in (0, 1)])
+    @example(configs=[PipelineConfig(pseudo_label=False, labeled_fraction=0.3, n0=n0) for n0 in (40, 2000)])
+    def test_configs_together_give_what_each_gives_alone(self, iris, configs):
+        # run_folds, unlike cross_validate_configs, runs configs of different
+        # seeds on one stage dict
+        plan = stratified_folds(iris, 5, seed=0)
+        rows = plan.train_rows(0), plan.test_rows(0)
+        together = run_folds(iris, *rows, configs, 0)
+        alone = [run_folds(iris, *rows, [config], 0)[0] for config in configs]
+        assert list(map(fold_outcome, together)) == list(map(fold_outcome, alone))
+
+        together = cross_validate_configs(iris, configs, 2, map_folds=no_fold_work)
+        for config, report in zip(configs, together):
+            alone = cross_validate_configs(iris, [config], 2, map_folds=no_fold_work)[0]
+            assert report.diagnostics == alone.diagnostics
+
+    def test_stage_reads_covers_every_config_field(self):
+        # fields that only pick a branch or set the trainer, which no stage keeps
+        unread = {"classifier", "max_iter", "tol", "pseudo_label"}
+        read = {name for names in STAGE_READS.values() for name in names}
+        assert read.isdisjoint(unread)
+        assert read | unread == {f.name for f in fields(PipelineConfig)}
+
+
 class TestPipelineFuzz:
     def test_random_configs_fail_only_with_stage_tags(self):
         # degenerate datasets and configurations may legitimately error, but
@@ -680,6 +760,25 @@ class TestReports:
             "p": 0.0,
             "candidate_significantly_better": True,
         }
+
+    def test_colliding_labels_name_the_fields_that_differ(self, tmp_path):
+        configs = [
+            PipelineConfig(method="eqw", bins=2),
+            PipelineConfig(method="eqw", bins=1),
+            PipelineConfig(method="mdlp"),
+            PipelineConfig(labeled_fraction=0.3, k_grid=(1,)),
+            PipelineConfig(labeled_fraction=0.3, k_grid=(15,), tol=1e-3),
+        ]
+        labels = [
+            "eqw+nb bins=2", "eqw+nb bins=1", "mdlp+nb",
+            "sadd+nb@0.3 k_grid=[1] tol=1e-06", "sadd+nb@0.3 k_grid=[15] tol=0.001",
+        ]
+        reports = [EvalReport("iris", config, [0.5, 0.75], [None] * 2) for config in configs]
+        header = format_comparison_table(reports).splitlines()[0]
+        assert re.split(r"\s{2,}", header) == ["dataset", *labels]
+        emit_report(reports, tmp_path / "results.txt", seed=0, format="table")
+        lines = (tmp_path / "results.txt").read_text().splitlines()
+        assert lines[1:6] == [f"# config {config_hash(c)}: {l}" for c, l in zip(configs, labels)]
 
     def test_unknown_format_rejected(self, two_reports, tmp_path):
         with pytest.raises(ValueError, match="format"):
