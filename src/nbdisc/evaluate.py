@@ -227,7 +227,6 @@ def _once(stages: dict, stage: str, rows, config: PipelineConfig, compute: Calla
 def fit_pipeline(
     train: Dataset,
     config: PipelineConfig,
-    seed: int | None = None,
     test: Dataset | None = None,
     stages: dict | None = None,
 ) -> tuple[FittedPipeline, int | None]:
@@ -235,13 +234,12 @@ def fit_pipeline(
 
     ``test`` contributes features only: its categories join the vocabulary,
     and with a transductive pseudo-labeling config its rows join the pool.
-    ``seed``, when given, replaces ``config.seed``.  Returns the fitted pipeline
-    and the k chosen for pseudo-labeling (None when nothing was pseudo-labeled).
+    Every random draw reads ``config.seed``.  Returns the fitted pipeline and
+    the k chosen for pseudo-labeling (None when nothing was pseudo-labeled).
     Calls on the same rows may share one ``stages`` dict, which keys each stage's
     result by its input rows and the fields ``STAGE_READS`` names for it; it
     changes what is recomputed, never a result.
     """
-    config = config if seed is None else replace(config, seed=seed)
     stages = {} if stages is None else stages
     stage = "impute"
     try:
@@ -299,8 +297,6 @@ def fit_pipeline(
             # built per call: the benchmark's trace rebinds these names
             trainer = {"wanbia": train_wanbia, "cawnb": train_cawnb, "rnb": train_rnb}
             params = trainer[config.classifier](table, labeled.labels, opts, model=model).params
-    except PipelineError:
-        raise
     except Exception as exc:
         raise PipelineError(stage, str(exc)) from exc
     return FittedPipeline(fill, scheme, vocab, model, params), selected_k
@@ -311,11 +307,10 @@ def run_fold(
     train_rows: Sequence[int] | np.ndarray,
     test_rows: Sequence[int] | np.ndarray,
     config: PipelineConfig,
-    seed: int | None = None,
     stages: dict | None = None,
 ) -> FoldResult:
     """Fit the pipeline on one train/test split and score the test rows;
-    ``stages`` is passed on to ``fit_pipeline``."""
+    ``config`` and ``stages`` are passed on to ``fit_pipeline``."""
     train_rows = np.asarray(train_rows, dtype=int)
     test_rows = np.asarray(test_rows, dtype=int)
     if np.intersect1d(train_rows, test_rows).size:
@@ -326,7 +321,7 @@ def run_fold(
     if rows.min() < 0 or rows.max() >= data.n_rows:
         raise PipelineError("setup", "row index out of range")
     test = data.subset(test_rows)
-    fitted, selected_k = fit_pipeline(data.subset(train_rows), config, seed, test, stages)
+    fitted, selected_k = fit_pipeline(data.subset(train_rows), config, test, stages)
     try:
         predictions, _ = fitted.predict(test)
     except Exception as exc:
@@ -344,18 +339,18 @@ def run_folds(
 ) -> list[FoldResult | PipelineError]:
     """``run_fold`` of each config on fold number ``fold``, each stage computed once.
 
-    Configs share a stage when they agree on its input rows and on the
-    fields that ``STAGE_READS`` names for it.  The results live in one stage
-    dict that ``run_fold`` gets for every config and that is dropped on
-    return.  A failed config's PipelineError, with a ``fold N:`` prefix,
-    takes the place of its result.
+    Each config's seed is replaced by one drawn from it and ``fold``.  Configs
+    share a stage when they agree on its input rows and on the fields that
+    ``STAGE_READS`` names for it.  The results live in one stage dict that
+    ``run_fold`` gets for every config and that is dropped on return.  A failed
+    config's PipelineError, with a ``fold N:`` prefix, replaces its result.
     """
     stages: dict = {}
     outcomes: list[FoldResult | PipelineError] = []
     for config in configs:
         try:
-            seed = _child_seed(config.seed, 7, fold)
-            outcomes.append(run_fold(data, train_rows, test_rows, config, seed, stages))
+            fold_config = replace(config, seed=_child_seed(config.seed, 7, fold))
+            outcomes.append(run_fold(data, train_rows, test_rows, fold_config, stages))
         except PipelineError as exc:
             outcomes.append(PipelineError(exc.stage, f"fold {fold}: {exc.message}"))
     return outcomes

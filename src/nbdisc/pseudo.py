@@ -191,8 +191,8 @@ def _nearest_neighbors(
     certain when no other row can come within the max_k-th exact distance:
     when its kk-th screen value minus the rounding slack still exceeds it.
     An uncertain row is ranked over an exact row of all distances.  With at
-    most ``max_k + 8`` labeled rows every row is a candidate, so nothing is
-    screened: each query's exact distances to all rows are ranked directly.
+    most ``max_k + 8`` labeled rows every row is a candidate, so every
+    ranking is certain and no row falls back.
     """
     n_ref, width = ref.shape
     out = np.empty((len(queries), max_k), dtype=int)
@@ -200,11 +200,6 @@ def _nearest_neighbors(
     kk = min(n_ref, max_k + _SCREEN_PAD)
     ref = np.asfortranarray(ref)  # so that every block's ref.T is a view, not a copy
     work = np.empty((2, min(block, len(queries)), n_ref))  # for every exact row of all distances
-    if kk == n_ref:
-        for start in range(0, len(queries), block):
-            exact = _distance_sq(space, ref, queries[start : start + block], work)
-            out[start : start + block] = np.argsort(exact, axis=1, kind="stable")[:, :max_k]
-        return out
     ref_factor, query_factor = _screen_vectors(space, ref, queries)
     # Slack, from the dot-product bound |fl(x.y) - x.y| <= gamma_n |x|.|y|
     # (gamma_n = n u / (1 - n u), u = 2**-53, any summation order).  With
@@ -231,7 +226,8 @@ def _nearest_neighbors(
         exact = _distance_sq(space, stack, queries[rows], cand_work)
         order = np.lexsort((cand, exact))[:, :max_k]
         out[rows] = np.take_along_axis(cand, order, axis=1)
-        bound = np.take_along_axis(dist, cand[:, kk - 1 :], axis=1)[:, 0] - slack[rows]
+        bound = (np.take_along_axis(dist, cand[:, kk - 1 :], axis=1)[:, 0] - slack[rows]
+                 if kk < n_ref else np.inf)  # with every row a candidate, none is missed
         kth = np.take_along_axis(exact, order[:, -1:], axis=1)[:, 0]
         unsure = np.flatnonzero(bound <= kth)
         if unsure.size:

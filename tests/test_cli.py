@@ -419,6 +419,12 @@ class TestBenchCommand:
         assert loads == []
         assert not (tmp_path / "out").exists()
 
+    def test_neither_manifest_nor_dataset_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench"]) == 2
+        assert capsys.readouterr().err == "error: either a manifest or --dataset is required\n"
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_config_field_usage_error(self, iris_path, tmp_path, capsys):
         manifest = write_manifest(
             tmp_path, iris_path, [{"method": "mdlp", "clasifier": "nb"}]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import re
 import tempfile
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from helpers import (
 import nbdisc.data as data_module
 from nbdisc.data import (
     AttributeKind,
+    Dataset,
     _token_codes,
     class_codes,
     imputation_values,
@@ -438,3 +440,53 @@ def test_concat_rows_preserves_schema(toy_mixed):
 def test_concat_rows_schema_mismatch(toy_mixed, iris):
     with pytest.raises(ValueError, match="schema"):
         concat_rows([toy_mixed, iris])
+
+
+def test_write_csv_missing_cells_survive_a_round_trip(toy_mixed, tmp_path):
+    path = tmp_path / "rt.csv"
+    write_csv(toy_mixed, path)
+    back = load_csv(path)
+    assert np.array_equal(back.missing, toy_mixed.missing)
+    present = ~toy_mixed.missing
+    for j, (col, want) in enumerate(zip(back.columns, toy_mixed.columns)):
+        assert col[present[:, j]].tolist() == want[present[:, j]].tolist()
+
+
+def test_load_schema_skips_blank_lines(tmp_path):
+    sidecar = tmp_path / "s.schema"
+    sidecar.write_text("\na,numeric\n   \nb,categorical\n\n")
+    assert load_schema(sidecar) == {"a": AttributeKind.NUMERIC, "b": AttributeKind.CATEGORICAL}
+
+
+def _table(**changes):
+    """A valid two-row, one-attribute Dataset with some fields replaced."""
+    fields = dict(
+        names=["a"], kinds=[AttributeKind.NUMERIC], columns=[np.zeros(2)],
+        missing=np.zeros((2, 1), dtype=bool), labels=np.array(["x", "y"], dtype=object),
+    )
+    return Dataset(**{**fields, **changes})
+
+
+def _file(directory, text, name="f.csv"):
+    path = directory / name
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: _table(kinds=[]), "schema, kinds and columns must align"),
+    (lambda tmp: _table(columns=[np.zeros(1)]), "column 'a' has 1 rows, expected 2"),
+    (lambda tmp: _table(missing=np.zeros((2, 2), dtype=bool)), "missing mask shape mismatch"),
+    (lambda tmp: concat_rows([]), "nothing to concatenate"),
+    (lambda tmp: load_schema(_file(tmp, "a,numeric\nb,number\n", "s.schema")),
+     "s.schema:2: unknown kind 'number'"),
+    (lambda tmp: load_csv(_file(tmp, "")), "f.csv: empty file"),
+    (lambda tmp: load_csv(_file(tmp, "class\nA\n")),
+     "f.csv: need at least one attribute column plus the class column"),
+    (lambda tmp: fill_missing(_table(), [1.0, 2.0]), "2 fill values for 1 attributes"),
+    (lambda tmp: impute_missing(_table(), _table(names=["b"])), "reference schema mismatch"),
+], ids=["dataset-kinds", "dataset-short-column", "dataset-mask-shape", "concat-nothing",
+        "schema-kind", "csv-empty", "csv-one-column", "fill-count", "impute-schema"])
+def test_input_checks(tmp_path, call, message):
+    with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
+        call(tmp_path)

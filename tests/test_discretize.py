@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from nbdisc.data import AttributeKind, class_codes, impute_missing
 from nbdisc.discretize import (
     ClassCounts,
     CutCandidate,
+    DiscretizationScheme,
     apply_scheme,
     best_cut,
     build_scheme,
@@ -622,3 +624,29 @@ def test_sigmoid_saturates_where_exp_overflows():
     assert sigmoid(-1000.0) == 0.0
     assert sigmoid(-1e308) == 0.0
     assert sigmoid(1e308) == 1.0
+
+
+def _with_missing():
+    return make_dataset({"a": [1.0, 2.0, 3.0]}, ["A", "B", "A"], missing=[(1, 0)])
+
+
+def _scheme(cuts):
+    return DiscretizationScheme("mdlp", {}, ["a"], [AttributeKind.NUMERIC], cuts)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ClassCounts(np.array([1, -1])), "counts must be non-negative"),
+    (lambda: CutCandidate(1.0, counts(0, 0), counts(1, 0)), "both sides of a cut must be non-empty"),
+    (lambda: best_cut([1.0, 2.0], ["A"]), "values and labels must align"),
+    (lambda: sadd_partition([1.0, 2.0], ["A", "B"], n0=0), "n0 must be at least 1"),
+    (lambda: _scheme([]), "one cut list per attribute required"),
+    (lambda: _scheme([[2.0, 1.0]]), "cuts for 'a' are not strictly increasing"),
+    (lambda: build_scheme(_with_missing(), "mdlp"), "attribute 'a' has missing values; impute first"),
+    (lambda: apply_scheme(_scheme([[1.5]]), _with_missing()),
+     "attribute 'a' has missing values; impute first"),
+    (lambda: mutual_information([0, 1], ["A"]), "indices and labels must align"),
+], ids=["counts-negative", "cut-empty-side", "best-cut-misaligned", "sadd-n0", "scheme-count",
+        "scheme-order", "build-missing", "apply-missing", "mi-misaligned"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

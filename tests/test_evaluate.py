@@ -4,7 +4,7 @@ import json
 import math
 import re
 import timeit
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -165,6 +165,10 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             PipelineConfig(method="caim")
 
+    def test_rejects_unknown_classifier(self):
+        with pytest.raises(ValueError, match="^unknown classifier 'knn'$"):
+            PipelineConfig(classifier="knn")
+
     def test_rejects_pseudo_labels_for_unsupervised(self):
         with pytest.raises(ValueError, match="pseudo"):
             PipelineConfig(method="eqw", pseudo_label=True)
@@ -261,12 +265,13 @@ class TestRunFold:
         # scrambling the test-row labels must leave predictions unchanged
         plan = stratified_folds(iris, 10, seed=3)
         train, test = plan.train_rows(1), plan.test_rows(1)
-        config = PipelineConfig(method="sadd", classifier="rnb", max_iter=30)
-        base = run_fold(iris, train, test, config, seed=11)
+        config = PipelineConfig(method="sadd", classifier="rnb", max_iter=30, seed=11)
+        base = run_fold(iris, train, test, config)
 
-        scrambled = iris.subset(np.arange(iris.n_rows))
-        scrambled.labels[test] = np.roll(scrambled.labels[test], 4)
-        other = run_fold(scrambled, train, test, config, seed=11)
+        labels = iris.labels.copy()
+        labels[test] = np.roll(labels[test], 4)
+        scrambled = replace(iris, labels=labels)
+        other = run_fold(scrambled, train, test, config)
         assert other.predictions == base.predictions
 
     def test_pseudo_labeling_on_empty_pool_is_inert(self, iris):
@@ -274,18 +279,27 @@ class TestRunFold:
         # plain supervised pipelines coincide
         plan = stratified_folds(iris, 10, seed=0)
         train, test = plan.train_rows(2), plan.test_rows(2)
-        on = PipelineConfig(method="sadd", pseudo_label=True, transductive=False)
-        off = PipelineConfig(method="sadd", pseudo_label=False)
-        a = run_fold(iris, train, test, on, seed=5)
-        b = run_fold(iris, train, test, off, seed=5)
+        on = PipelineConfig(method="sadd", pseudo_label=True, transductive=False, seed=5)
+        off = PipelineConfig(method="sadd", pseudo_label=False, seed=5)
+        a = run_fold(iris, train, test, on)
+        b = run_fold(iris, train, test, off)
         assert a.predictions == b.predictions
         assert a.accuracy == b.accuracy
 
     def test_partial_labels_run(self, toy_mixed):
-        config = PipelineConfig(method="mdlp", labeled_fraction=0.9)
+        config = PipelineConfig(method="mdlp", labeled_fraction=0.9, seed=1)
         rows = np.arange(toy_mixed.n_rows)
-        result = run_fold(toy_mixed, rows[:10], rows[10:], config, seed=1)
+        result = run_fold(toy_mixed, rows[:10], rows[10:], config)
         assert 0.0 <= result.accuracy <= 1.0
+
+    def test_scoring_failure_tagged_predict(self, iris, monkeypatch):
+        def fail(*args):
+            raise ValueError("scoring failed")
+
+        monkeypatch.setattr(evaluate_module, "posterior_batch", fail)
+        plan = stratified_folds(iris, 10, seed=0)
+        with pytest.raises(PipelineError, match=r"^\[predict\] scoring failed$"):
+            run_fold(iris, plan.train_rows(0), plan.test_rows(0), PipelineConfig(method="mdlp"))
 
     def test_stage_tag_on_failure(self, toy_mixed):
         config = PipelineConfig(method="sadd")  # pseudo-labeling needs >= 9 labeled rows
@@ -324,9 +338,9 @@ class TestFittedPipeline:
     def test_run_fold_is_fit_then_predict(self, iris):
         plan = stratified_folds(iris, 10, seed=0)
         train, test = plan.train_rows(4), plan.test_rows(4)
-        config = PipelineConfig(method="sadd", classifier="cawnb", max_iter=10)
-        result = run_fold(iris, train, test, config, seed=3)
-        fitted, k = fit_pipeline(iris.subset(train), config, seed=3, test=iris.subset(test))
+        config = PipelineConfig(method="sadd", classifier="cawnb", max_iter=10, seed=3)
+        result = run_fold(iris, train, test, config)
+        fitted, k = fit_pipeline(iris.subset(train), config, test=iris.subset(test))
         assert result.predictions == fitted.predict(iris.subset(test))[0].tolist()
         assert result.selected_k == k
 
@@ -472,14 +486,14 @@ class TestFoldMajor:
         plan = stratified_folds(iris, 3, seed=0)
         train, test = plan.train_rows(1), plan.test_rows(1)
         configs = [
-            PipelineConfig(method="sadd"),
-            PipelineConfig(method="sadd", classifier="rnb", max_iter=5),
+            PipelineConfig(method="sadd", seed=4),
+            PipelineConfig(method="sadd", classifier="rnb", max_iter=5, seed=4),
         ]
         stages: dict = {}
-        shared = [run_fold(iris, train, test, config, 4, stages) for config in configs]
+        shared = [run_fold(iris, train, test, config, stages) for config in configs]
         assert calls["build_scheme"] == 1 and stages
         for config, result in zip(configs, shared):
-            assert result == run_fold(iris, train, test, config, 4)
+            assert result == run_fold(iris, train, test, config)
         assert calls["build_scheme"] == 3
 
     def test_split_nodes_do_not_outlive_a_fold(self, iris, monkeypatch):
@@ -513,6 +527,21 @@ class TestFoldMajor:
         other = Dataset(iris.names, iris.kinds, columns, iris.missing, iris.labels)
         for config, report in zip(configs, cross_validate_configs(other, configs, 3)):
             assert report.diagnostics == whole_data_diagnostics(other, config.method)[1]
+
+    def test_diagnostics_error_is_that_configs_outcome(self, iris, monkeypatch):
+        real = evaluate_module.whole_data_diagnostics
+
+        def diagnostics(data, method, *args, **kwargs):
+            if method == "eqw":
+                raise ValueError("no eqw diagnostics")
+            return real(data, method, *args, **kwargs)
+
+        monkeypatch.setattr(evaluate_module, "whole_data_diagnostics", diagnostics)
+        configs = [PipelineConfig(method="mdlp"), PipelineConfig(method="eqw")]
+        mdlp, eqw = cross_validate_configs(iris, configs, 3)
+        assert isinstance(eqw, ValueError) and str(eqw) == "no eqw diagnostics"
+        assert mdlp.diagnostics == real(iris, "mdlp")[1]
+        assert len(mdlp.fold_accuracies) == 3
 
     def test_failed_fold_is_prefixed_and_others_still_run(self, iris):
         plan = stratified_folds(iris, 3, seed=0)

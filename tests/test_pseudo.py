@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -272,13 +273,13 @@ class TestNearestNeighbors:
         assert got.tolist() == [brute_force_neighbors(ref, q, max_k) for q in queries]
 
     @pytest.mark.parametrize("pad", [0, 8, 9])
-    def test_no_screen_when_every_row_is_a_candidate(self, monkeypatch, pad):
+    def test_screened_when_every_row_is_a_candidate(self, monkeypatch, pad):
+        # small labeled sets take the one screened path: one screen per call
         max_k = 12
         screened = []
         real = pseudo._screen_vectors
 
         def screen(space, ref, queries):
-            assert len(ref) > max_k + 8, "screened although every row is a candidate"
             screened.append(len(ref))
             return real(space, ref, queries)
 
@@ -288,7 +289,7 @@ class TestNearestNeighbors:
         queries = rng.integers(0, 3, (60, 2)).astype(float)
         got = _nearest_neighbors(_all_numeric_space(2), ref, queries, max_k)
         assert got.tolist() == [brute_force_neighbors(ref, q, max_k) for q in queries]
-        assert screened == ([max_k + pad] if pad > 8 else [])
+        assert screened == [max_k + pad]
 
     @given(grid_problems(), st.integers(2, 4))
     def test_prefix_votes_match_brute_force_knn(self, problem, n_classes):
@@ -441,8 +442,8 @@ class TestPseudoLabel:
         out = pseudo_label(iris, iris.subset([]), KnnConfig(1))
         assert out.size == 0
 
-    def test_empty_unlabeled_unscreened(self, toy_mixed):
-        # at most k + 8 labeled rows: every row is a candidate, nothing is screened
+    def test_empty_unlabeled_small_set_screened(self, toy_mixed):
+        # at most k + 8 labeled rows: every row is a candidate, still screened
         labeled = impute_missing(toy_mixed, toy_mixed)
         assert labeled.n_rows <= 4 + pseudo._SCREEN_PAD
         out = pseudo_label(labeled, labeled.subset([]), KnnConfig(4))
@@ -516,3 +517,19 @@ class TestPseudoLabel:
         base = pseudo_label(iris, iris.subset(pool_rows), KnnConfig(3))
         shuffled = pseudo_label(iris, iris.subset(pool_rows[perm]), KnnConfig(3))
         assert shuffled.tolist() == base[perm].tolist()
+
+
+def _two_rows(missing=None):
+    return make_dataset({"x": [1.0, 2.0], "c": ["u", "v"]}, ["A", "B"], missing=missing)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: KnnConfig(0), "k must be at least 1"),
+    (lambda: FeatureSpace.fit(_two_rows()).encode(make_dataset({"y": [1.0]}, ["A"])),
+     "schema mismatch"),
+    (lambda: FeatureSpace.fit(_two_rows()).encode(_two_rows(missing=[(1, 0)])),
+     "data has missing values; impute first"),
+], ids=["k-zero", "encode-schema", "encode-missing"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,8 +21,8 @@ from helpers import (
 )
 
 import nbdisc.weighted_nb as weighted_nb
-from nbdisc.data import categorical_vocab, impute_missing
-from nbdisc.discretize import apply_scheme, build_scheme
+from nbdisc.data import AttributeKind, categorical_vocab, impute_missing
+from nbdisc.discretize import DiscretizationScheme, apply_scheme, build_scheme
 from nbdisc.weighted_nb import (
     DiscreteTable,
     TrainOptions,
@@ -482,6 +484,22 @@ class TestTrainers:
         with pytest.raises(ValueError, match="classes"):
             train_rnb(table, ["A", "A"])
 
+    def test_non_finite_initial_objective_raises(self, four_row):
+        # value 1, which training rows take, has probability 0 under every class
+        table, labels, model = four_row
+        model = replace(model, cond=[np.array([[1.0, 0.0], [1.0, 0.0]])])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError, match="^non-finite objective at initialization$"):
+                train_rnb(table, labels, model=model)
+
+    def test_stops_when_no_step_passes_the_line_search(self, iris_table, monkeypatch):
+        monkeypatch.setattr(weighted_nb, "_ARMIJO_C", math.inf)
+        table, labels = iris_table
+        result = train_rnb(table, labels, TrainOptions(max_iter=5))
+        assert len(result.objectives) == 1
+        assert (result.params.W == 1.0).all() and (result.params.w == 1.0).all()
+        assert result.params.alpha == 0.5
+
 
 class TestPredict:
     def test_argmax(self, four_row):
@@ -542,3 +560,17 @@ class TestEncodeAndSerialize:
             posterior_batch(model2, params2, table.x),
             posterior_batch(model, result.params, table.x),
         )
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DiscreteTable(np.zeros((2, 2)), (2,), ("a",)), "matrix width must match arity list"),
+    (lambda: encode_discrete(
+        make_dataset({"a": [0]}, ["A"]),
+        DiscretizationScheme("mdlp", {}, ["b"], [AttributeKind.NUMERIC], [[]]), {},
+    ), "dataset does not match the scheme"),
+    (lambda: WeightedParams(W=[[np.nan]], w=[1.0], alpha=0.5), "weights must be finite"),
+    (lambda: fit_nb(table_from([[0], [1]], [2]), ["A"]), "labels must align with rows"),
+], ids=["table-width", "encode-scheme", "params-finite", "fit-misaligned"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
