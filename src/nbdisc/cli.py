@@ -31,13 +31,15 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from functools import partial
+from itertools import count, islice
 from pathlib import Path
 
-from .data import Dataset, MISSING_TOKEN, load_csv, load_schema
+from .data import Dataset, MISSING_TOKEN, _parse_records, load_csv, load_schema
 from .discretize import DEFAULT_BINS, DEFAULT_N0, METHODS, save_scheme, threshold_curve
 from .evaluate import (
     CLASSIFIERS,
@@ -56,6 +58,7 @@ from .evaluate import (
 )
 
 MODEL_FORMAT = "nbdisc-model-v1"
+PREDICT_BLOCK_ROWS = 4096  # records `predict` parses, scores and writes at a time
 
 
 def _load_dataset(path: str, schema: str | None, missing_token: str) -> Dataset:
@@ -226,7 +229,20 @@ def _csv_field(value: str) -> str:
     return buf.getvalue()[: -len(",\r\n")]
 
 
+@contextmanager
+def _replaced_on_success(path: str):
+    """A temporary file beside ``path`` that replaces ``path`` only if the block succeeds."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as out:
+            yield out
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def cmd_predict(args: argparse.Namespace) -> int:
+    """Classify ``args.input`` block by block; a row's output reads only that row and the model."""
     model_path = Path(args.model)
     if not model_path.exists():
         raise FileNotFoundError(f"model file not found: {args.model}")
@@ -234,23 +250,26 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{args.model}: not a model file")
     fitted = FittedPipeline.from_dict(doc)
-    expected = fitted.scheme.names
+    expected, hint = fitted.scheme.names, dict(zip(fitted.scheme.names, fitted.scheme.kinds))
     token = doc["missing_token"] if args.missing_token is None else args.missing_token
-    data = load_csv(args.input, schema_hint=dict(zip(expected, fitted.scheme.kinds)),
-                    missing_token=token)
-    if data.names != expected:
-        raise ValueError(
-            f"schema mismatch: model expects columns {expected}, file has {data.names}"
-        )
-    predictions, posteriors = fitted.predict(data)
-
-    with (open(args.output, "w", newline="") if args.output else nullcontext(sys.stdout)) as out:
-        csv.writer(out).writerow(["predicted"] + [f"p_{c}" for c in fitted.model.classes])
-        # the writer quotes each class label once; posterior reprs never need quoting
-        quoted = {c: _csv_field(c) for c in fitted.model.classes}
-        for label, row in zip(predictions.tolist(), posteriors.tolist()):
-            out.write(quoted[label] + "," + ",".join(map(repr, row)) + "\r\n")
-    return 0
+    # the writer quotes each class label once; posterior reprs never need quoting
+    quoted = {c: _csv_field(c) for c in fitted.model.classes}
+    with (open(args.input, newline="") as handle,
+          _replaced_on_success(args.output) if args.output else nullcontext(sys.stdout) as out):
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        for first_row in count(2, PREDICT_BLOCK_ROWS):
+            block = list(islice(reader, PREDICT_BLOCK_ROWS))
+            if first_row > 2 and not block:
+                return 0
+            data = _parse_records(args.input, header, block, first_row, hint, token, labeled=False)
+            if data.names != expected:
+                raise ValueError(f"schema mismatch: model expects columns {expected}, file has {data.names}")
+            predictions, posteriors = fitted.predict(data)
+            if first_row == 2:
+                csv.writer(out).writerow(["predicted"] + [f"p_{c}" for c in fitted.model.classes])
+            for label, row in zip(predictions.tolist(), posteriors.tolist()):
+                out.write(quoted[label] + "," + ",".join(map(repr, row)) + "\r\n")
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
@@ -311,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="classify a CSV with a saved model")
     p.add_argument("model", help="model file from `nbdisc train`")
-    p.add_argument("input", help="CSV with the training schema; any label but the missing token")
+    p.add_argument("input", help="CSV with the training schema; its labels are not read")
     p.add_argument("--missing-token", default=None)
     p.add_argument("--output", help="CSV file for predictions (default: stdout)")
     p.set_defaults(func=cmd_predict)

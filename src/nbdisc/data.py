@@ -166,24 +166,29 @@ def load_csv(
     schema_hint: Mapping[str, AttributeKind] | None = None,
     missing_token: str = MISSING_TOKEN,
 ) -> Dataset:
-    """Load a headered CSV whose last column holds the class labels."""
+    """Load a headered CSV whose last column holds the class labels, all records at once."""
     with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows:
+        header, *records = list(csv.reader(handle)) or [None]
+    return _parse_records(path, header, records, 2, schema_hint, missing_token, labeled=True)
+
+
+def _parse_records(path: str | Path, header: list[str] | None, records: list[list[str]],
+                   first_row: int, schema_hint: Mapping[str, AttributeKind] | None,
+                   missing_token: str, labeled: bool) -> Dataset:
+    """Parse ``records`` (file rows from ``first_row``); ``labeled`` rejects a missing label."""
+    if header is None:
         raise ValueError(f"{path}: empty file")
-    header = rows[0]
-    records = rows[1:]
     if len(header) < 2:
         raise ValueError(f"{path}: need at least one attribute column plus the class column")
     if not records:
         raise ValueError(f"{path}: no data rows")
-    for i, record in enumerate(records, start=2):
+    for i, record in enumerate(records, start=first_row):
         if len(record) != len(header):
             raise ValueError(f"{path}: row {i} has {len(record)} cells, expected {len(header)}")
 
     names = header[:-1]
     labels = np.fromiter(map(itemgetter(-1), records), dtype=object, count=len(records))
-    if (labels == missing_token).any():
+    if labeled and (labels == missing_token).any():
         raise ValueError(f"{path}: missing class label")
 
     columns: list[np.ndarray] = []
@@ -207,7 +212,7 @@ def load_csv(
             elif kind is AttributeKind.NUMERIC:
                 bad = next(i for i, cell in enumerate(text) if _parse_column([cell]) is None)
                 raise ValueError(
-                    f"{path}: column {name!r}, row {np.flatnonzero(present)[bad] + 2}: "
+                    f"{path}: column {name!r}, row {np.flatnonzero(present)[bad] + first_row}: "
                     f"unparseable numeric cell {text[bad]!r}"
                 )
         if not isinstance(kind, AttributeKind):
@@ -219,10 +224,16 @@ def load_csv(
 
 
 def write_csv(data: Dataset, path: str | Path, missing_token: str = MISSING_TOKEN) -> None:
-    """Write a dataset back to CSV; numeric cells use full round-trip precision."""
+    """Write ``data`` as CSV (numbers round-trip); a present token equal to ``missing_token`` raises."""
+    names, cells = data.names + ["class"], data.columns + [data.labels]
+    missing = np.column_stack([data.missing, np.zeros(data.n_rows, dtype=bool)])
+    for j in [*data.categorical_attrs(), data.n_attrs]:
+        if (rows := np.flatnonzero((cells[j] == missing_token) & ~missing[:, j])).size:
+            raise ValueError(f"{path}: column {names[j]!r}, row {rows[0] + 2}: "
+                             f"present cell equals the missing token {missing_token!r}")
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(data.names + ["class"])
+        writer.writerow(names)
         for i in range(data.n_rows):
             record = []
             for j in range(data.n_attrs):

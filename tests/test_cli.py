@@ -6,10 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import count_node_evaluations, strict_json
 
@@ -318,6 +321,155 @@ class TestTrainPredict:
         assert code == 2
         assert "error [fit] max_iter must be at least 0" in capsys.readouterr().err
         assert not model_path.exists()
+
+
+
+def _predict_reference(model_path, path, want):
+    """What `predict` wrote before it streamed: the whole file scored at once."""
+    fitted = FittedPipeline.from_dict(json.loads(Path(model_path).read_text()))
+    hint = dict(zip(fitted.scheme.names, fitted.scheme.kinds))
+    labels, posteriors = fitted.predict(load_csv(path, schema_hint=hint))
+    with open(want, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["predicted"] + [f"p_{c}" for c in fitted.model.classes])
+        writer.writerows([label] + [repr(float(p)) for p in row]
+                         for label, row in zip(labels, posteriors))
+    return Path(want).read_bytes()
+
+
+def _write_rows(path, header, rows):
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle).writerows([header, *rows])
+    return path
+
+
+STREAM_COLORS = ["red", "re,d", "new\nline"]
+STREAM_CLASSES = ["a,b", 'q"x', "plain"]
+
+
+@pytest.fixture(scope="module")
+def stream_model(tmp_path_factory):
+    """A model over one numeric and one categorical column with quoted tokens and labels."""
+    directory = tmp_path_factory.mktemp("stream")
+    rows = [[f"{c * 3 + i % 4}", STREAM_COLORS[(c + i) % 3], STREAM_CLASSES[c]]
+            for i in range(30) for c in range(3)]
+    train = _write_rows(directory / "train.csv", ["x", "color", "class"], rows)
+    model_path = directory / "model.json"
+    assert main(["train", str(train), "--max-iter", "20", "--output", str(model_path)]) == 0
+    return model_path
+
+
+class TestStreamingPredict:
+    """`predict` scores its input in blocks of `cli.PREDICT_BLOCK_ROWS` records."""
+
+    @settings(max_examples=25)
+    @given(rows=st.lists(st.tuples(
+        st.one_of(st.just("?"), st.floats(-5, 15).map(repr), st.integers(-3, 12).map(str)),
+        st.sampled_from(STREAM_COLORS + ["unseen", "?", "new\nblue"]),
+        st.sampled_from(STREAM_CLASSES + ["", "other"]),
+    ), min_size=1, max_size=9))
+    def test_block_size_changes_no_byte(self, stream_model, tmp_path_factory, rows):
+        directory = tmp_path_factory.mktemp("blocks")
+        scored = _write_rows(directory / "scored.csv", ["x", "color", "class"], rows)
+        want = _predict_reference(stream_model, scored, directory / "want.csv")
+        n = len(rows)
+        for block in sorted({1, 2, 3, 7, n - 1, n, n + 1} - {0}):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cli, "PREDICT_BLOCK_ROWS", block)
+                argv = ["predict", str(stream_model), str(scored), "--output", str(directory / "p")]
+                assert main(argv) == 0
+            assert (directory / "p").read_bytes() == want, block
+
+    def test_quoted_newline_record_on_a_block_boundary(self, stream_model, tmp_path, monkeypatch):
+        # csv.reader records, not raw lines, make the blocks: the second record spans two lines
+        rows = [["1", "red", "plain"], ["4", "new\nline", "plain"], ["7", "new\nline", ""]]
+        scored = _write_rows(tmp_path / "scored.csv", ["x", "color", "class"], rows)
+        monkeypatch.setattr(cli, "PREDICT_BLOCK_ROWS", 2)
+        preds = tmp_path / "preds.csv"
+        assert main(["predict", str(stream_model), str(scored), "--output", str(preds)]) == 0
+        assert preds.read_bytes() == _predict_reference(stream_model, scored, tmp_path / "want.csv")
+        assert len(list(csv.reader(preds.open(newline="")))) == 4
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "{path}: empty file"),
+        ("class\nA\n", "{path}: need at least one attribute column plus the class column"),
+        ("x,color,class\n", "{path}: no data rows"),
+        ("x,class\n1.0,A\n",
+         "schema mismatch: model expects columns ['x', 'color'], file has ['x']"),
+    ], ids=["empty", "one-column", "header-only", "schema-mismatch"])
+    def test_file_level_errors_leave_the_output_alone(
+        self, text, message, separable_csv, tmp_path, capsys
+    ):
+        model_path = tmp_path / "model.json"
+        main(["train", str(separable_csv), "--output", str(model_path), "--max-iter", "0"])
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        preds = tmp_path / "preds.csv"
+        preds.write_bytes(b"earlier bytes\n")
+        before = sorted(os.listdir(tmp_path))
+        capsys.readouterr()
+        assert main(["predict", str(model_path), str(bad), "--output", str(preds)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message.format(path=bad)}\n")
+        assert preds.read_bytes() == b"earlier bytes\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("bad_row", [["abc", "red", "A"], ["5.0", "blue"]],
+                             ids=["unparseable-cell", "short-record"])
+    def test_later_block_error_names_the_file_row(
+        self, bad_row, separable_csv, tmp_path, capsys, monkeypatch
+    ):
+        model_path = tmp_path / "model.json"
+        main(["train", str(separable_csv), "--output", str(model_path), "--max-iter", "0"])
+        rows = [[f"{i / 2}", "red", "A"] for i in range(7)]
+        rows[5] = bad_row  # file row 7, in the second block of three
+        scored = _write_rows(tmp_path / "scored.csv", ["x", "color", "class"], rows)
+        fitted = FittedPipeline.from_dict(json.loads(model_path.read_text()))
+        with pytest.raises(ValueError) as whole_file:
+            load_csv(scored, schema_hint=dict(zip(fitted.scheme.names, fitted.scheme.kinds)))
+        assert "row 7" in str(whole_file.value)
+        monkeypatch.setattr(cli, "PREDICT_BLOCK_ROWS", 3)
+        preds = tmp_path / "preds.csv"
+        preds.write_bytes(b"earlier bytes\n")
+        before = sorted(os.listdir(tmp_path))
+        capsys.readouterr()
+        assert main(["predict", str(model_path), str(scored), "--output", str(preds)]) == 2
+        assert capsys.readouterr().err == f"error: {whole_file.value}\n"
+        assert preds.read_bytes() == b"earlier bytes\n"
+        assert sorted(os.listdir(tmp_path)) == before
+        # to stdout, the header and the first block are printed before the error
+        assert main(["predict", str(model_path), str(scored)]) == 2
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 4 and err == f"error: {whole_file.value}\n"
+
+    def test_placeholder_labels_are_not_read(self, iris_path, tmp_path):
+        model_path = tmp_path / "model.json"
+        assert main(["train", str(iris_path), "--max-iter", "20", "--output", str(model_path)]) == 0
+        header, *rows = list(csv.reader(iris_path.open(newline="")))
+        outputs = []
+        for placeholder in ("?", ""):
+            scored = _write_rows(tmp_path / "scored.csv", header,
+                                 [[*row[:-1], placeholder] for row in rows[:2]])
+            preds = tmp_path / f"preds{len(outputs)}.csv"
+            assert main(["predict", str(model_path), str(scored), "--output", str(preds)]) == 0
+            outputs.append(preds.read_bytes())
+        assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 3
+
+    def test_peak_memory_does_not_grow_with_the_file(self, separable_csv, tmp_path, monkeypatch):
+        model_path = tmp_path / "model.json"
+        main(["train", str(separable_csv), "--output", str(model_path), "--max-iter", "0"])
+        monkeypatch.setattr(cli, "PREDICT_BLOCK_ROWS", 256)
+        peaks = []
+        for blocks in (2, 20):
+            rows = [[f"{i % 97 / 10}", ("red", "blue")[i % 2], "A"] for i in range(256 * blocks)]
+            scored = _write_rows(tmp_path / f"scored{blocks}.csv", ["x", "color", "class"], rows)
+            tracemalloc.start()
+            try:
+                argv = ["predict", str(model_path), str(scored), "--output", str(tmp_path / "p")]
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def write_manifest(tmp_path, iris_path, configs, **extra):

@@ -452,6 +452,21 @@ def test_write_csv_missing_cells_survive_a_round_trip(toy_mixed, tmp_path):
         assert col[present[:, j]].tolist() == want[present[:, j]].tolist()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("a,b,class\n?,x,A\nu,NA,B\n", "column 'a', row 2"),
+    ("a,class\n1.5,B\n2.5,?\n", "column 'class', row 3"),
+], ids=["category", "label"])
+def test_write_csv_rejects_a_present_cell_equal_to_the_token(tmp_path, text, message):
+    # loaded with token NA, a `?` cell is present; written with `?` it would read back missing
+    data = load_csv(_file(tmp_path, text), missing_token="NA")
+    out = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=f"{re.escape(message)}: present cell equals the missing token '\\?'$"):
+        write_csv(data, out)
+    assert not out.exists()
+    write_csv(data, out, missing_token="NA")
+    assert out.read_text().splitlines() == text.splitlines()
+
+
 def test_load_schema_skips_blank_lines(tmp_path):
     sidecar = tmp_path / "s.schema"
     sidecar.write_text("\na,numeric\n   \nb,categorical\n\n")
