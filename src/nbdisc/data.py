@@ -224,27 +224,22 @@ def _parse_records(path: str | Path, header: list[str] | None, records: list[lis
 
 
 def write_csv(data: Dataset, path: str | Path, missing_token: str = MISSING_TOKEN) -> None:
-    """Write ``data`` as CSV (numbers round-trip); a present token equal to ``missing_token`` raises."""
-    names, cells = data.names + ["class"], data.columns + [data.labels]
+    """Write ``data`` as CSV (numbers round-trip); a present cell written as ``missing_token`` raises."""
+    names = data.names + ["class"]
+    text = [
+        [repr(float(v)) for v in col] if kind is AttributeKind.NUMERIC else [str(v) for v in col]
+        for kind, col in zip(data.kinds, data.columns)
+    ] + [[str(v) for v in data.labels]]
     missing = np.column_stack([data.missing, np.zeros(data.n_rows, dtype=bool)])
-    for j in [*data.categorical_attrs(), data.n_attrs]:
-        if (rows := np.flatnonzero((cells[j] == missing_token) & ~missing[:, j])).size:
+    for j, col in enumerate(text):
+        if (rows := np.flatnonzero((np.array(col, dtype=object) == missing_token) & ~missing[:, j])).size:
             raise ValueError(f"{path}: column {names[j]!r}, row {rows[0] + 2}: "
                              f"present cell equals the missing token {missing_token!r}")
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(names)
-        for i in range(data.n_rows):
-            record = []
-            for j in range(data.n_attrs):
-                if data.missing[i, j]:
-                    record.append(missing_token)
-                elif data.kinds[j] is AttributeKind.NUMERIC:
-                    record.append(repr(float(data.columns[j][i])))
-                else:
-                    record.append(str(data.columns[j][i]))
-            record.append(str(data.labels[i]))
-            writer.writerow(record)
+        for record, miss in zip(zip(*text), missing):
+            writer.writerow([missing_token if m else cell for cell, m in zip(record, miss)])
 
 
 def imputation_values(reference: Dataset) -> list[float | str]:

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import AttributeKind, Dataset, _token_codes, class_codes
-from .discretize import DiscretizationScheme, sigmoid
+from .discretize import DiscretizationScheme, _row_sum, sigmoid
 
 
 @dataclass
@@ -166,10 +166,9 @@ def _log_likelihoods(model: NbModel, x: np.ndarray) -> np.ndarray:
     return out
 
 
-# Row max and row sum over the short class axis of an (n, C) array, as loops
-# over the C columns: numpy reduces a 5-wide axis about 10x slower than a long
-# one.  Both equal max(axis=1) and sum(axis=1) bit for bit: numpy adds fewer
-# than 8 elements left to right from +0.0, and 8 or more pairwise.
+# Reductions over the short class axis of an (n, C) array.  numpy reduces a
+# 5-wide axis about 10x slower than a long one, so _row_max loops over the C
+# columns; it equals max(axis=1) bit for bit.  _row_sum is the splitter's.
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
@@ -177,15 +176,6 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     for c in range(1, a.shape[1]):
         np.maximum(m, a[:, c], out=m)
     return m
-
-
-def _row_sum(a: np.ndarray) -> np.ndarray:
-    if a.shape[1] >= 8:
-        return a.sum(axis=1)
-    s = np.zeros(len(a))
-    for c in range(a.shape[1]):
-        s += a[:, c]
-    return s
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:

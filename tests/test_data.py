@@ -467,6 +467,17 @@ def test_write_csv_rejects_a_present_cell_equal_to_the_token(tmp_path, text, mes
     assert out.read_text().splitlines() == text.splitlines()
 
 
+def test_write_csv_rejects_a_numeric_cell_written_as_the_token(tmp_path):
+    # a present 1.0 is written as repr(1.0) == "1.0"; with that token it would read back missing
+    data = load_csv(_file(tmp_path, "x,class\n1.0,A\n2.5,B\n"))
+    out = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=r"column 'x', row 2: present cell equals the missing token '1\.0'$"):
+        write_csv(data, out, missing_token="1.0")
+    assert not out.exists()
+    write_csv(data, out, missing_token="1")  # 1.0 is written "1.0", not "1"
+    assert load_csv(out, missing_token="1").missing.tolist() == [[False], [False]]
+
+
 def test_load_schema_skips_blank_lines(tmp_path):
     sidecar = tmp_path / "s.schema"
     sidecar.write_text("\na,numeric\n   \nb,categorical\n\n")

@@ -124,7 +124,7 @@ class TestInformationGain:
         if found is None:
             return
         pos, gain = found
-        left, right = prefix[pos] - prefix[lo], prefix[hi] - prefix[pos]
+        left, right = prefix[:, pos] - prefix[:, lo], prefix[:, hi] - prefix[:, pos]
         cand = CutCandidate(values[pos], ClassCounts(left), ClassCounts(right))
         got = information_gain(ClassCounts(left + right), cand)
         assert np.float64(got).tobytes() == np.float64(gain).tobytes()
@@ -282,6 +282,20 @@ class TestPartitions:
         with pytest.raises(ValueError, match="missing"):
             mdlp_partition([1.0, float("nan")], ["A", "B"])
 
+    @pytest.mark.parametrize("values, labels", [
+        ([-1, -1, -0.0, 0.0, 1, 1, -0.0, 0.0], "AABBBBBB"),
+        ([-1, -1, 0.0, -0.0, 1, 1, 0.0, -0.0], "AABBBBBB"),
+        ([0.0, -0.0, -1, -1], "BBAA"),
+        ([-0.0, 0.0, -1, -1], "BBAA"),
+    ])
+    @pytest.mark.parametrize("partition", [mdlp_partition, sadd_partition])
+    def test_a_cut_at_zero_keeps_the_sign_of_the_first_zero(self, partition, values, labels):
+        # the sort keeps tied rows in input order, so -0.0 and 0.0 (equal,
+        # but written differently in a model) cut as the first one given
+        first_zero = next(v for v in values if v == 0)
+        cuts = partition(values, list(labels))
+        assert cuts == [0.0] and np.signbit(cuts[0]) == np.signbit(first_zero)
+
 
 class TestCutGains:
     @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.integers(1, 6))
@@ -295,7 +309,7 @@ class TestCutGains:
         n_left = left.sum(axis=1)
         keep = (n_left > 0) & (n_left < parent.sum())
         left, n_left = left[keep], n_left[keep]
-        got = discretize_module._cut_gains(parent, left, n_left)
+        got = discretize_module._cut_gains(parent, left.T, n_left)
         want = masked_cut_gains(parent, left, n_left)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -308,9 +322,25 @@ class TestCutGains:
         hi = data.draw(st.integers(lo + 2, len(codes)))
         prefix = discretize_module._prefix_counts(np.asarray(codes), n_classes)
         positions = np.arange(lo + 1, hi)
-        parent, left = prefix[hi] - prefix[lo], prefix[positions] - prefix[lo]
+        parent, left = prefix[:, hi] - prefix[:, lo], prefix[:, positions] - prefix[:, lo, None]
         got = discretize_module._cut_gains(parent, left, positions - lo)
-        want = masked_cut_gains(parent, left, positions - lo)
+        want = masked_cut_gains(parent, np.ascontiguousarray(left.T), positions - lo)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @given(st.integers(8, 12), st.integers(0, 2**32 - 1))
+    def test_bit_equal_to_masked_formula_from_8_classes(self, n_classes, seed):
+        # numpy sums 8 or more terms pairwise along a contiguous axis, and a
+        # strided class axis in another order
+        rng = np.random.default_rng(seed)
+        parent = rng.integers(0, 10**4, n_classes)
+        parent[0] += 2
+        left = rng.integers(0, parent + 1, (300, n_classes))
+        left[rng.random(left.shape) < 0.2] = 0
+        n_left = left.sum(axis=1)
+        keep = (n_left > 0) & (n_left < parent.sum())
+        left, n_left = left[keep], n_left[keep]
+        got = discretize_module._cut_gains(parent, np.ascontiguousarray(left.T), n_left)
+        want = masked_cut_gains(parent, left, n_left)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
