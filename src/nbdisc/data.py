@@ -46,54 +46,78 @@ def class_codes(labels: Sequence[str] | np.ndarray) -> tuple[np.ndarray, np.ndar
 
     Equal to ``np.unique(np.asarray(labels, dtype=object), return_inverse=True)``
     but hashes each row instead of sorting all rows with Python comparisons.
+    A non-negative integer array (codes) is counted instead; its labels are intp.
     """
+    if isinstance(labels, np.ndarray) and labels.dtype.kind in "iu":
+        seen = np.bincount(labels) > 0
+        return np.flatnonzero(seen), (np.cumsum(seen) - 1)[labels]
     tokens = np.asarray(labels, dtype=object).tolist()
     classes = sorted(set(tokens))
     return np.array(classes, dtype=object), _token_codes(tokens, classes)
 
 
-@dataclass
+def _recoded(codes: Sequence[np.ndarray], vocabs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Codes into per-part ``vocabs``, concatenated as codes into their sorted union."""
+    union = np.unique(np.concatenate(vocabs))  # object arrays sort in Python str order
+    return np.concatenate([_token_codes(v, union)[c] for c, v in zip(codes, vocabs)]), union
+
+
+@dataclass(init=False)
 class Dataset:
     """Columnar table: attribute columns plus one class label per row.
 
     Numeric columns are float64 (NaN in missing cells), or interval indices
-    after ``apply_scheme``; categorical columns are object arrays of tokens.
-    ``missing`` is a (rows, attrs) bool mask. Attribute names are unique:
-    saved models key per-attribute values by name. Arrays are never written
-    after construction, so transforms share the ones they do not change.
+    after ``apply_scheme``.  Labels and categorical cells are stored only as
+    intp codes into ``classes`` and ``vocab[j]``: distinct tokens sorted in
+    Python ``str`` order, so codes sort as their tokens do; a subset keeps
+    its parent's.  ``missing`` is a (rows, attrs) bool mask.  Attribute names
+    are unique: saved models key per-attribute values by name.  Arrays are
+    read-only, so transforms share the ones they do not change.
     """
 
     names: list[str]
     kinds: list[AttributeKind]
     columns: list[np.ndarray]
     missing: np.ndarray
-    labels: np.ndarray
+    label_codes: np.ndarray
+    classes: np.ndarray
+    vocab: dict[int, np.ndarray]
 
-    def __post_init__(self) -> None:
-        n_attrs = len(self.names)
-        if not (len(self.kinds) == len(self.columns) == n_attrs):
+    def __init__(self, names, kinds, columns, missing, labels=None, *,
+                 label_codes=None, classes=None, vocab=None) -> None:
+        """Codes the tokens of ``labels`` and categorical ``columns``, unless given as codes."""
+        n_attrs = len(names)
+        if not (len(kinds) == len(columns) == n_attrs):
             raise ValueError("schema, kinds and columns must align")
-        if len(set(self.names)) != n_attrs:
-            repeated = sorted(name for name, c in Counter(self.names).items() if c > 1)
+        if len(set(names)) != n_attrs:
+            repeated = sorted(name for name, c in Counter(names).items() if c > 1)
             raise ValueError(f"duplicate attribute names: {repeated}")
-        n_rows = len(self.labels)
-        for name, col in zip(self.names, self.columns):
-            if len(col) != n_rows:
-                raise ValueError(f"column {name!r} has {len(col)} rows, expected {n_rows}")
-        if self.missing.shape != (n_rows, n_attrs):
+        classes, label_codes = (classes, label_codes) if labels is None else class_codes(labels)
+        if vocab is None:
+            columns, vocab = list(columns), {}
+            for j in (j for j, kind in enumerate(kinds) if kind is AttributeKind.CATEGORICAL):
+                vocab[j], columns[j] = class_codes(columns[j])
+        self.names, self.kinds, self.columns, self.missing = names, kinds, columns, missing
+        self.label_codes, self.classes, self.vocab = label_codes, classes, vocab
+        for name, col in zip(names, columns):
+            if len(col) != self.n_rows:
+                raise ValueError(f"column {name!r} has {len(col)} rows, expected {self.n_rows}")
+        if missing.shape != (self.n_rows, n_attrs):
             raise ValueError("missing mask shape mismatch")
+        for array in (*columns, missing, label_codes, classes, *vocab.values()):
+            array.flags.writeable = False
 
     @property
     def n_rows(self) -> int:
-        return len(self.labels)
+        return len(self.label_codes)
 
     @property
     def n_attrs(self) -> int:
         return len(self.names)
 
     @property
-    def classes(self) -> list[str]:
-        return class_codes(self.labels)[0].tolist()
+    def labels(self) -> np.ndarray:
+        return self.classes[self.label_codes]
 
     def numeric_attrs(self) -> list[int]:
         return [j for j, k in enumerate(self.kinds) if k is AttributeKind.NUMERIC]
@@ -107,7 +131,7 @@ class Dataset:
             self,
             columns=[col[rows] for col in self.columns],
             missing=self.missing[rows],
-            labels=self.labels[rows],
+            label_codes=self.label_codes[rows],
         )
 
 
@@ -119,20 +143,21 @@ def concat_rows(parts: Sequence[Dataset]) -> Dataset:
     for other in parts[1:]:
         if other.names != first.names or other.kinds != first.kinds:
             raise ValueError("schema mismatch between datasets")
+    merged = {j: _recoded([p.columns[j] for p in parts], [p.vocab[j] for p in parts]) for j in first.vocab}
+    label_codes, classes = _recoded([p.label_codes for p in parts], [p.classes for p in parts])
     return replace(
         first,
-        columns=[
-            np.concatenate([p.columns[j] for p in parts]) for j in range(first.n_attrs)
-        ],
+        columns=[merged[j][0] if j in merged else np.concatenate([p.columns[j] for p in parts])
+                 for j in range(first.n_attrs)],
         missing=np.concatenate([p.missing for p in parts], axis=0),
-        labels=np.concatenate([p.labels for p in parts]),
+        label_codes=label_codes, classes=classes, vocab={j: v for j, (_, v) in merged.items()},
     )
 
 
 def categorical_vocab(datasets: Sequence[Dataset]) -> dict[int, list[str]]:
-    """Sorted category vocabulary per categorical attribute, pooled over inputs."""
+    """Sorted tokens in use per categorical attribute, pooled over inputs."""
     return {
-        j: sorted(set().union(*(ds.columns[j].tolist() for ds in datasets)))
+        j: sorted(set().union(*(ds.vocab[j][class_codes(ds.columns[j])[0]].tolist() for ds in datasets)))
         for j in datasets[0].categorical_attrs()
     }
 
@@ -187,8 +212,8 @@ def _parse_records(path: str | Path, header: list[str] | None, records: list[lis
             raise ValueError(f"{path}: row {i} has {len(record)} cells, expected {len(header)}")
 
     names = header[:-1]
-    labels = np.fromiter(map(itemgetter(-1), records), dtype=object, count=len(records))
-    if labeled and (labels == missing_token).any():
+    classes, label_codes = class_codes(list(map(itemgetter(-1), records)))
+    if labeled and (classes == missing_token).any():
         raise ValueError(f"{path}: missing class label")
 
     columns: list[np.ndarray] = []
@@ -220,15 +245,15 @@ def _parse_records(path: str | Path, header: list[str] | None, records: list[lis
         columns.append(values if kind is AttributeKind.NUMERIC else cells)
         kinds.append(kind)
 
-    return Dataset(names=names, kinds=kinds, columns=columns, missing=missing, labels=labels)
+    return Dataset(names, kinds, columns, missing, label_codes=label_codes, classes=classes)
 
 
 def write_csv(data: Dataset, path: str | Path, missing_token: str = MISSING_TOKEN) -> None:
     """Write ``data`` as CSV (numbers round-trip); a present cell written as ``missing_token`` raises."""
     names = data.names + ["class"]
     text = [
-        [repr(float(v)) for v in col] if kind is AttributeKind.NUMERIC else [str(v) for v in col]
-        for kind, col in zip(data.kinds, data.columns)
+        [str(v) for v in data.vocab[j][col]] if j in data.vocab else [repr(float(v)) for v in col]
+        for j, col in enumerate(data.columns)
     ] + [[str(v) for v in data.labels]]
     missing = np.column_stack([data.missing, np.zeros(data.n_rows, dtype=bool)])
     for j, col in enumerate(text):
@@ -246,7 +271,7 @@ def imputation_values(reference: Dataset) -> list[float | str]:
     """Per-column fill values: the column mean (numeric) or mode (categorical).
 
     Statistics use the reference's present cells only; mode ties break toward
-    the lexicographically smallest category.
+    the smallest code, which is the lexicographically smallest category.
     """
     values: list[float | str] = []
     for j, kind in enumerate(reference.kinds):
@@ -256,8 +281,7 @@ def imputation_values(reference: Dataset) -> list[float | str]:
         if kind is AttributeKind.NUMERIC:
             values.append(float(present.mean()))
         else:
-            tokens, codes = class_codes(present)
-            values.append(tokens[np.bincount(codes).argmax()])  # first max: smallest token
+            values.append(reference.vocab[j][np.bincount(present).argmax()])  # first max: smallest code
     return values
 
 
@@ -265,8 +289,12 @@ def fill_missing(data: Dataset, values: Sequence[float | str]) -> Dataset:
     """``data`` with each column's missing cells set to its fill value."""
     if len(values) != data.n_attrs:
         raise ValueError(f"{len(values)} fill values for {data.n_attrs} attributes")
-    columns = [np.where(miss, fill, col) for miss, fill, col in zip(data.missing.T, values, data.columns)]
-    return replace(data, columns=columns, missing=np.zeros_like(data.missing))
+    columns, fills, vocab = list(data.columns), list(values), dict(data.vocab)
+    for j, tokens in data.vocab.items():  # the fill token joins the vocabulary
+        coded, vocab[j] = _recoded([columns[j], [0]], [tokens, np.array([fills[j]], dtype=object)])
+        columns[j], fills[j] = coded[:-1], coded[-1]
+    columns = [np.where(miss, fill, col) for miss, fill, col in zip(data.missing.T, fills, columns)]
+    return replace(data, columns=columns, missing=np.zeros_like(data.missing), vocab=vocab)
 
 
 def impute_missing(data: Dataset, reference: Dataset) -> Dataset:
@@ -305,9 +333,8 @@ def stratified_folds(data: Dataset, folds: int, seed: int) -> FoldPlan:
         raise ValueError(f"{folds} folds exceed {data.n_rows} rows")
     rng = np.random.default_rng(seed)
     assignments = np.full(data.n_rows, -1, dtype=int)
-    classes, codes = class_codes(data.labels)
-    for c in range(len(classes)):
-        rows = rng.permutation(np.flatnonzero(codes == c))
+    for c in class_codes(data.label_codes)[0]:  # codes sort as their tokens
+        rows = rng.permutation(np.flatnonzero(data.label_codes == c))
         assignments[rows] = np.arange(len(rows)) % folds
     return FoldPlan(assignments)
 

@@ -381,7 +381,7 @@ def build_scheme(
 ) -> DiscretizationScheme:
     """Run the chosen partitioner on every numeric attribute of ``data``.
 
-    Supervised methods split by ``data.labels``, so pseudo-labels ride on their
+    Supervised methods split by the class codes, so pseudo-labels ride on their
     rows.  ``nodes`` maps an attribute index to its node table; pass one dict
     to every call on the same rows to evaluate each node once.
     """
@@ -391,7 +391,7 @@ def build_scheme(
         raise ValueError("n0 must be at least 1")
     if method in ("eqw", "eqf") and bins < 1:
         raise ValueError("bins must be at least 1")
-    codes = class_codes(data.labels)[1] if method in ("mdlp", "sadd") else None
+    codes = class_codes(data.label_codes)[1] if method in ("mdlp", "sadd") else None
     cuts: list[np.ndarray] = []
     for j, kind in enumerate(data.kinds):
         if kind is not AttributeKind.NUMERIC:

@@ -254,7 +254,7 @@ def fit_pipeline(
         labeled_rows, labeled, unlabeled = rows, imp_train, None
         if config.labeled_fraction < 1.0:
             labeled_rows, split = _once(stages, "split", rows, config, lambda: split_labeled_fraction(
-                imp_train.labels, config.labeled_fraction, _child_seed(config.seed, 1)
+                imp_train.label_codes, config.labeled_fraction, _child_seed(config.seed, 1)
             ))
             labeled = imp_train.subset(split.labeled_rows)
             unlabeled = imp_train.subset(split.unlabeled_rows)
@@ -274,7 +274,7 @@ def fit_pipeline(
             scheme_rows, pseudo = _once(stages, "pseudo", (labeled_rows, selected_k), config, lambda: (
                 pseudo_label(labeled, pool, KnnConfig(selected_k))
             ))
-            scheme_data = concat_rows([labeled, replace(pool, labels=pseudo)])
+            scheme_data = concat_rows([labeled, replace(pool, label_codes=pseudo, classes=labeled.classes)])
         elif config.method in ("eqw", "eqf"):  # they read no labels: every row counts
             scheme_rows, scheme_data = rows, imp_train
 
@@ -289,16 +289,17 @@ def fit_pipeline(
 
         stage = "fit"
         model_rows = (scheme_key, labeled_rows)
-        model = _once(stages, "model", model_rows, config, lambda: fit_nb(table, labeled.labels))[1]
+        model = _once(stages, "model", model_rows, config, lambda: fit_nb(table, labeled.label_codes))[1]
         opts = TrainOptions(max_iter=config.max_iter, tol=config.tol)
         if config.classifier == "nb":
             params = identity_params(model)
         else:
             # built per call: the benchmark's trace rebinds these names
             trainer = {"wanbia": train_wanbia, "cawnb": train_cawnb, "rnb": train_rnb}
-            params = trainer[config.classifier](table, labeled.labels, opts, model=model).params
+            params = trainer[config.classifier](table, labeled.label_codes, opts, model=model).params
     except Exception as exc:
         raise PipelineError(stage, str(exc)) from exc
+    model = replace(model, classes=labeled.classes[model.classes].tolist())  # codes to tokens
     return FittedPipeline(fill, scheme, vocab, model, params), selected_k
 
 
@@ -378,7 +379,7 @@ class DiagnosticsTable:
 
 def diagnostics_table(scheme: DiscretizationScheme, disc_data: Dataset) -> DiagnosticsTable:
     """Interval count and attribute/class mutual information per numeric attribute."""
-    codes = class_codes(disc_data.labels)[1]
+    codes = class_codes(disc_data.label_codes)[1]
     rows = []
     for j in disc_data.numeric_attrs():
         rows.append(

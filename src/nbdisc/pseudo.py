@@ -91,7 +91,7 @@ class FeatureSpace:
             else:
                 parts.append(np.zeros_like(col))
         for pos, j in enumerate(self.categorical_idx):
-            parts.append(_token_codes(data.columns[j], self.vocab[pos], unknown=-1).astype(float))
+            parts.append(_token_codes(data.vocab[j], self.vocab[pos], -1)[data.columns[j]].astype(float))
         if not parts:
             return np.zeros((data.n_rows, 0))
         return np.column_stack(parts)
@@ -303,24 +303,22 @@ def select_k(
     space = FeatureSpace.fit(fit)
     ref = space.encode(fit)
     queries = space.encode(val)
-    classes, codes = class_codes(fit.labels)
 
     feasible = [k for k in sorted(set(int(k) for k in grid)) if 1 <= k <= fit.n_rows]
     if not feasible:
         raise ValueError("every grid value exceeds the fit-set size")
     # neighbor order is independent of k: rank once, vote per prefix
     nearest = _nearest_neighbors(space, ref, queries, max(feasible))
-    votes = _votes(codes[nearest], len(classes))[:, np.array(feasible) - 1]
-    hits = (classes[votes] == val.labels[:, None]).sum(axis=0)
+    votes = _votes(fit.label_codes[nearest], len(fit.classes))[:, np.array(feasible) - 1]
+    hits = (votes == val.label_codes[:, None]).sum(axis=0)
     return feasible[int(np.argmax(hits))]  # first max = smallest k
 
 
 def pseudo_label(labeled: Dataset, unlabeled: Dataset, config: KnnConfig) -> np.ndarray:
-    """Predicted class tokens for every unlabeled row, in row order."""
+    """Predicted class of every unlabeled row, in row order, as a code into ``labeled.classes``."""
     if labeled.names != unlabeled.names or labeled.kinds != unlabeled.kinds:
         raise ValueError("labeled and unlabeled schemas differ")
     space = FeatureSpace.fit(labeled)
     ref = space.encode(labeled)
     queries = space.encode(unlabeled)
-    classes, codes = class_codes(labeled.labels)
-    return classes[_predict_codes(space, ref, codes, queries, config.k)]
+    return _predict_codes(space, ref, labeled.label_codes, queries, config.k)

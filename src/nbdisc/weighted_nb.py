@@ -52,15 +52,12 @@ class DiscreteTable:
     def n_rows(self) -> int:
         return self.x.shape[0]
 
-    @property
-    def n_attrs(self) -> int:
-        return self.x.shape[1]
-
 
 def encode_discrete(
     disc: Dataset, scheme: DiscretizationScheme, vocab: dict[int, list[str]]
 ) -> DiscreteTable:
-    """Turn an interval-indexed dataset into an integer matrix with arities."""
+    """Turn an interval-indexed dataset into an integer matrix with arities;
+    categorical codes are mapped onto ``vocab``'s tokens, -1 for one outside it."""
     if disc.names != scheme.names:
         raise ValueError("dataset does not match the scheme")
     columns = []
@@ -70,7 +67,7 @@ def encode_discrete(
             columns.append(disc.columns[j])
             arity.append(scheme.n_intervals(j))
         else:
-            columns.append(_token_codes(disc.columns[j], vocab[j], unknown=-1))
+            columns.append(_token_codes(disc.vocab[j], vocab[j], unknown=-1)[disc.columns[j]])
             arity.append(len(vocab[j]))
     return DiscreteTable(
         x=np.column_stack(columns) if columns else np.zeros((disc.n_rows, 0), dtype=np.int64),
@@ -123,8 +120,7 @@ def identity_params(model: NbModel) -> WeightedParams:
 
 
 def fit_nb(table: DiscreteTable, labels: Sequence[str] | np.ndarray) -> NbModel:
-    """Count-based fit with add-one smoothing on priors and conditionals."""
-    labels = np.asarray(labels, dtype=object)
+    """Count-based fit with add-one smoothing; the classes are the sorted distinct labels."""
     n = table.n_rows
     if n == 0:
         raise ValueError("empty training set")
@@ -250,8 +246,9 @@ def predict_batch(model: NbModel, params: WeightedParams, x: np.ndarray) -> np.n
 
 def _targets(model: NbModel, labels: Sequence[str] | np.ndarray) -> np.ndarray:
     """One-hot (n, C) targets; a label outside ``model.classes`` raises ValueError."""
+    distinct, index = class_codes(labels)
     try:
-        codes = _token_codes(labels, model.classes)
+        codes = _token_codes(distinct, model.classes)[index]
     except KeyError as exc:
         raise ValueError(f"label {exc.args[0]!r} is not a model class") from None
     return np.eye(model.n_classes)[codes]

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import csv
+import importlib.util
 import json
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -14,6 +17,18 @@ import numpy as np
 import nbdisc.discretize as discretize_module
 from nbdisc.data import AttributeKind, Dataset
 from nbdisc.weighted_nb import WeightedParams, fit_nb, gradient, objective
+
+
+GEN_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "gen.py"
+
+
+def load_bench_gen():
+    """``benchmarks/gen.py``, loaded by path: the benchmark's seeded CSV generator."""
+    spec = importlib.util.spec_from_file_location("nbdisc_bench_gen", GEN_PATH)
+    if spec.name not in sys.modules:
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)  # dataclasses look their module up in sys.modules
+    return sys.modules[spec.name]
 
 
 def make_dataset(columns, labels, kinds=None, missing=None):
@@ -52,6 +67,11 @@ def make_dataset(columns, labels, kinds=None, missing=None):
         missing=mask,
         labels=np.asarray(labels, dtype=object),
     )
+
+
+def cells(data, j):
+    """Column ``j`` of ``data`` as cell values: numbers, or the tokens its codes stand for."""
+    return data.vocab[j][data.columns[j]] if j in data.vocab else data.columns[j]
 
 
 def loop_equal_frequency(values, bins):

@@ -11,6 +11,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from helpers import (
+    cells,
     counter_mode,
     dict_codes,
     dict_labeled_split,
@@ -106,11 +107,13 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="no data rows"):
             load_csv(p)
 
-    def test_duplicate_attribute_names_rejected(self, tmp_path):
-        # a saved model keys each attribute's fill value by name
+    @pytest.mark.parametrize("header", ["a,a,class", "a,b,a,class"])
+    def test_duplicate_attribute_names_rejected(self, tmp_path, header):
+        # a saved model keys each attribute's fill value by name; only repeated names are listed
         p = tmp_path / "d.csv"
-        p.write_text("a,a,class\n1,2,p\n?,3,q\n")
-        with pytest.raises(ValueError, match=r"duplicate attribute names: \['a'\]"):
+        width = header.count(",")
+        p.write_text(f"{header}\n" + "1," * width + "p\n" + "2," * width + "q\n")
+        with pytest.raises(ValueError, match=r"^duplicate attribute names: \['a'\]$"):
             load_csv(p)
 
     def test_numeric_hint_rejects_tokens(self, tmp_path):
@@ -139,7 +142,8 @@ class TestLoadCsv:
         assert sorted(parsed) == sorted(["1.5", "-3", "0.1", "2", "4e2"])
         assert np.array_equal(data.columns[0], [1.5, np.nan, -3.0, 0.1], equal_nan=True)
         assert np.array_equal(data.columns[1], [np.nan, 2.0, 400.0, np.nan], equal_nan=True)
-        assert data.columns[2].tolist() == ["a", "b", "a", "?"]
+        assert data.columns[2].dtype == np.intp and data.vocab[2].tolist() == ["?", "a", "b"]
+        assert cells(data, 2).tolist() == ["a", "b", "a", "?"]
 
     def test_missing_class_label_rejected(self, tmp_path):
         p = tmp_path / "l.csv"
@@ -179,7 +183,7 @@ class TestLoadCsv:
         back = load_csv(path)
         assert back.kinds == data.kinds
         assert np.array_equal(back.columns[0], data.columns[0])
-        assert back.columns[1].tolist() == data.columns[1].tolist()
+        assert cells(back, 1).tolist() == cells(data, 1).tolist()
         assert back.labels.tolist() == data.labels.tolist()
 
     @given(CSV_TABLES)
@@ -205,11 +209,12 @@ class TestLoadCsv:
             got = load_csv(path, hint, token)
         assert got.names == want.names and got.kinds == want.kinds
         assert np.array_equal(got.missing, want.missing)
-        assert got.labels.dtype == object and got.labels.tolist() == want.labels.tolist()
-        for col, ref in zip(got.columns, want.columns):
+        assert got.label_codes.dtype == np.intp and got.labels.tolist() == want.labels.tolist()
+        assert got.vocab.keys() == want.vocab.keys()
+        for j, (col, ref) in enumerate(zip(got.columns, want.columns)):
             assert col.dtype == ref.dtype
-            if ref.dtype == object:
-                assert col.tolist() == ref.tolist()
+            if j in want.vocab:
+                assert cells(got, j).tolist() == cells(want, j).tolist()
             else:
                 assert col.tobytes() == ref.tobytes()
 
@@ -224,11 +229,11 @@ class TestImpute:
     def test_categorical_mode(self):
         data = make_dataset({"c": ["a", "a", "b", "?"]}, ["A"] * 4, missing=[(3, 0)])
         out = impute_missing(data, data)
-        assert out.columns[0][3] == "a"
+        assert cells(out, 0)[3] == "a"
 
     def test_mode_tie_breaks_lexicographically(self):
         data = make_dataset({"c": ["b", "a", "?"]}, ["A"] * 3, missing=[(2, 0)])
-        assert impute_missing(data, data).columns[0][2] == "a"
+        assert cells(impute_missing(data, data), 0)[2] == "a"
 
     def test_test_rows_use_training_mean(self):
         # 6-row toy split 4/2: training mean (1+2+3+4)/4 = 2.5, pooled mean
@@ -257,7 +262,7 @@ class TestImpute:
             assert col.dtype == kept.dtype
             assert np.array_equal(col, kept, equal_nan=col.dtype != object)
         assert np.array_equal(toy_mixed.missing, before[1])
-        assert out.labels is toy_mixed.labels
+        assert out.label_codes is toy_mixed.label_codes and out.classes is toy_mixed.classes
 
     def test_all_missing_reference_rejected(self):
         data = make_dataset({"x": [np.nan, np.nan]}, ["A", "B"], missing=[(0, 0), (1, 0)])
@@ -437,6 +442,33 @@ def test_concat_rows_preserves_schema(toy_mixed):
     assert merged.labels.tolist() == ["A", "A", "B", "B", "B"]
 
 
+def test_concat_rows_merges_vocabularies():
+    a = make_dataset({"c": ["y", "x"]}, ["B", "A"])
+    b = make_dataset({"c": ["z", "x"]}, ["C", "C"])
+    merged = concat_rows([a, b])
+    assert merged.vocab[0].tolist() == ["x", "y", "z"] and merged.classes.tolist() == ["A", "B", "C"]
+    assert cells(merged, 0).tolist() == ["y", "x", "z", "x"]
+    assert merged.labels.tolist() == ["B", "A", "C", "C"]
+
+
+def test_fill_token_outside_the_vocabulary_joins_it():
+    data = make_dataset({"c": ["b", "?"]}, ["A", "A"], missing=[(1, 0)])
+    out = fill_missing(data, ["a"])
+    assert out.vocab[0].tolist() == ["?", "a", "b"] and cells(out, 0).tolist() == ["b", "a"]
+
+
+@pytest.mark.parametrize("array", [
+    lambda d: d.columns[0], lambda d: d.columns[1], lambda d: d.missing,
+    lambda d: d.label_codes, lambda d: d.classes, lambda d: d.vocab[1],
+], ids=["numeric-column", "category-codes", "missing-mask", "label-codes", "classes", "vocabulary"])
+def test_dataset_arrays_are_read_only(toy_mixed, array):
+    # subsets and transforms share these arrays, so a write would reach every sharer
+    imputed = impute_missing(toy_mixed, toy_mixed)
+    for data in (toy_mixed, toy_mixed.subset([0, 1]), imputed, concat_rows([imputed, toy_mixed])):
+        with pytest.raises(ValueError, match="read-only"):
+            array(data)[0] = array(data)[-1]
+
+
 def test_concat_rows_schema_mismatch(toy_mixed, iris):
     with pytest.raises(ValueError, match="schema"):
         concat_rows([toy_mixed, iris])
@@ -448,8 +480,8 @@ def test_write_csv_missing_cells_survive_a_round_trip(toy_mixed, tmp_path):
     back = load_csv(path)
     assert np.array_equal(back.missing, toy_mixed.missing)
     present = ~toy_mixed.missing
-    for j, (col, want) in enumerate(zip(back.columns, toy_mixed.columns)):
-        assert col[present[:, j]].tolist() == want[present[:, j]].tolist()
+    for j in range(toy_mixed.n_attrs):
+        assert cells(back, j)[present[:, j]].tolist() == cells(toy_mixed, j)[present[:, j]].tolist()
 
 
 @pytest.mark.parametrize("text, message", [

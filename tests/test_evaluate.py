@@ -12,11 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from helpers import count_node_evaluations, make_dataset, strict_json, student_t_sf
+from helpers import count_node_evaluations, load_bench_gen, make_dataset, strict_json, student_t_sf
 
+import nbdisc.data as data_module
 import nbdisc.discretize as discretize_module
 import nbdisc.evaluate as evaluate_module
-from nbdisc.data import Dataset, stratified_folds
+import nbdisc.pseudo as pseudo_module
+import nbdisc.weighted_nb as weighted_nb_module
+from nbdisc.data import Dataset, load_csv, stratified_folds
 from nbdisc.evaluate import (
     STAGE_READS,
     DiagnosticsTable,
@@ -366,6 +369,10 @@ class TestCrossValidate:
         assert report.fold_accuracies == [1.0] * 5
         assert report.std == 0.0
 
+    def test_two_fold_std(self, iris):
+        report = cross_validate(iris, PipelineConfig(method="sadd"), folds=2)
+        assert report.std == np.std(report.fold_accuracies, ddof=1) > 0
+
     def test_fold_count_validated(self, iris):
         with pytest.raises(ValueError, match="folds"):
             cross_validate(iris, PipelineConfig(), folds=1)
@@ -610,6 +617,38 @@ class TestStageSharing:
         read = {name for names in STAGE_READS.values() for name in names}
         assert read.isdisjoint(unread)
         assert read | unread == {f.name for f in fields(PipelineConfig)}
+
+
+def test_tokens_are_coded_only_at_load(tmp_path, monkeypatch):
+    # every call of the two token coders records the length of its input; an
+    # integer array (codes) that class_codes counts by bincount is not coding,
+    # and after load no other call looks up more entries than a vocabulary holds
+    calls = []
+
+    def recording(name):
+        real = getattr(data_module, name)
+
+        def record(tokens, *args, **kwargs):
+            counted = name == "class_codes" and isinstance(tokens, np.ndarray) and tokens.dtype.kind in "iu"
+            calls.append(0 if counted else len(tokens))
+            return real(tokens, *args, **kwargs)
+        return record
+
+    for module in (data_module, discretize_module, pseudo_module, weighted_nb_module, evaluate_module):
+        for name in ("_token_codes", "class_codes"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recording(name))
+    gen, path = load_bench_gen(), tmp_path / "data.csv"
+    gen.write(path, gen.generate(gen.Shape(4, 2, 3, 0.05, 0.8), 600, seed=0))
+    data = load_csv(path)
+    assert max(calls) == 600  # load codes each row's tokens
+    calls.clear()
+    configs = [PipelineConfig(method="sadd", labeled_fraction=0.5),
+               PipelineConfig(method="mdlp", classifier="rnb", max_iter=5, labeled_fraction=0.5),
+               PipelineConfig(method="mdlp"), PipelineConfig(method="eqf")]
+    reports = cross_validate_configs(data, configs, folds=3)
+    assert all(isinstance(report, EvalReport) for report in reports)
+    assert 0 < max(calls) <= max(len(data.classes), *map(len, data.vocab.values()))
 
 
 class TestPipelineFuzz:

@@ -27,21 +27,19 @@ says which bytes moved and why.
 from __future__ import annotations
 
 import difflib
-import importlib.util
 import io
 import json
 import platform
-import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helpers import load_bench_gen
 from nbdisc.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-GEN_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "gen.py"
 IRIS = Path(__file__).parent / "data" / "iris.csv"
 TOY_MIXED = Path(__file__).parent / "data" / "toy_mixed.csv"
 SEED = 0
@@ -94,14 +92,7 @@ DISCRETIZE_CASES = {"discretize": IRIS, "discretize-mixed": TOY_MIXED}
 CASES = [*BENCH_CASES, "train-predict", "iris", "unseen-tokens", *DISCRETIZE_CASES, "curve"]
 
 
-def _load_gen():
-    spec = importlib.util.spec_from_file_location("nbdisc_bench_gen", GEN_PATH)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)  # dataclasses look their module up in sys.modules
-    return module
-
-
-gen = _load_gen()
+gen = load_bench_gen()
 
 
 def versions() -> dict[str, str]:
@@ -185,10 +176,14 @@ def produce(case: str, work: Path, jobs: int = 1) -> dict[str, bytes]:
 
 
 def _assert_golden(case: str, got: dict[str, bytes]) -> None:
+    """Fail unless ``got`` equals the golden files of ``case``; with other versions than
+    the golden files were made with, fail in any case, naming the files that differ."""
     recorded = json.loads((GOLDEN / "versions.json").read_text())
-    if recorded != versions():
-        pytest.fail(f"golden files were made with {recorded}, this run has {versions()}")
     want = {path.name: path.read_bytes() for path in (GOLDEN / case).iterdir()}
+    if recorded != versions():
+        differ = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
+        pytest.fail(f"golden files were made with {recorded}, this run has {versions()}; "
+                    + (f"files that differ: {differ}" if differ else "all files match"))
     assert sorted(got) == sorted(want)
     for name, data in got.items():
         if data != want[name]:
@@ -209,3 +204,12 @@ def test_outputs_match_golden_files(case, tmp_path):
 
 def test_iris_outputs_match_golden_files_with_two_jobs(tmp_path):
     _assert_golden("iris", produce("iris", tmp_path, jobs=2))
+
+
+def test_version_mismatch_fails_after_comparing_the_bytes(tmp_path, monkeypatch):
+    monkeypatch.setitem(globals(), "versions", lambda: {"python": "0", "numpy": "0"})
+    got = produce("curve", tmp_path)
+    with pytest.raises(pytest.fail.Exception, match="this run has .*; all files match$"):
+        _assert_golden("curve", got)
+    with pytest.raises(pytest.fail.Exception, match=r"; files that differ: \['curve.csv', 'x'\]$"):
+        _assert_golden("curve", {"curve.csv": got["curve.csv"] + b"\n", "x": b""})

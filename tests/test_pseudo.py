@@ -447,12 +447,12 @@ class TestPseudoLabel:
         labeled = impute_missing(toy_mixed, toy_mixed)
         assert labeled.n_rows <= 4 + pseudo._SCREEN_PAD
         out = pseudo_label(labeled, labeled.subset([]), KnnConfig(4))
-        assert out.dtype == object and out.shape == (0,)
+        assert out.dtype == np.intp and out.shape == (0,)
 
     def test_duplicates_copy_labels(self, iris):
         rows = [0, 60, 120]
         out = pseudo_label(iris, iris.subset(rows), KnnConfig(1))
-        assert out.tolist() == iris.labels[rows].tolist()
+        assert out.tolist() == iris.label_codes[rows].tolist()
 
     def test_schema_mismatch(self, iris, toy_mixed):
         with pytest.raises(ValueError, match="schema"):
@@ -475,7 +475,7 @@ class TestPseudoLabel:
         labeled = data.subset(labeled_rows)
         unlabeled = data.subset(unlabeled_rows)
 
-        out = pseudo_label(labeled, unlabeled, KnnConfig(1))
+        out = labeled.classes[pseudo_label(labeled, unlabeled, KnnConfig(1))]
         agreement = np.mean(out == truth[unlabeled_rows])
         assert agreement >= 0.90
 
