@@ -72,7 +72,8 @@ class Dataset:
     Python ``str`` order, so codes sort as their tokens do; a subset keeps
     its parent's.  ``missing`` is a (rows, attrs) bool mask.  Attribute names
     are unique: saved models key per-attribute values by name.  Arrays are
-    read-only, so transforms share the ones they do not change.
+    read-only, so transforms share the ones they do not change; the lists
+    and the ``vocab`` dict are copied, so each dataset owns its own.
     """
 
     names: list[str]
@@ -97,8 +98,8 @@ class Dataset:
             columns, vocab = list(columns), {}
             for j in (j for j, kind in enumerate(kinds) if kind is AttributeKind.CATEGORICAL):
                 vocab[j], columns[j] = class_codes(columns[j])
-        self.names, self.kinds, self.columns, self.missing = names, kinds, columns, missing
-        self.label_codes, self.classes, self.vocab = label_codes, classes, vocab
+        self.names, self.kinds, self.columns, self.missing = list(names), list(kinds), list(columns), missing
+        self.label_codes, self.classes, self.vocab = label_codes, classes, dict(vocab)
         for name, col in zip(names, columns):
             if len(col) != self.n_rows:
                 raise ValueError(f"column {name!r} has {len(col)} rows, expected {self.n_rows}")
@@ -308,6 +309,12 @@ def impute_missing(data: Dataset, reference: Dataset) -> Dataset:
     return fill_missing(data, imputation_values(reference))
 
 
+def _shuffled_by_class(codes: np.ndarray, n_classes: int, seed: int) -> list[np.ndarray]:
+    """Each class's rows in code order, shuffled by one generator; a class with no rows draws nothing."""
+    rng = np.random.default_rng(seed)
+    return [rng.permutation(np.flatnonzero(codes == c)) for c in range(n_classes)]
+
+
 @dataclass(frozen=True)
 class FoldPlan:
     """Row-to-fold assignments for stratified cross-validation."""
@@ -331,10 +338,8 @@ def stratified_folds(data: Dataset, folds: int, seed: int) -> FoldPlan:
         raise ValueError("need at least 2 folds")
     if folds > data.n_rows:
         raise ValueError(f"{folds} folds exceed {data.n_rows} rows")
-    rng = np.random.default_rng(seed)
     assignments = np.full(data.n_rows, -1, dtype=int)
-    for c in class_codes(data.label_codes)[0]:  # codes sort as their tokens
-        rows = rng.permutation(np.flatnonzero(data.label_codes == c))
+    for rows in _shuffled_by_class(data.label_codes, len(data.classes), seed):
         assignments[rows] = np.arange(len(rows)) % folds
     return FoldPlan(assignments)
 
@@ -366,12 +371,7 @@ def split_labeled_fraction(
     # the largest remainders get one more; a stable sort gives ties to the smaller class
     quota[np.argsort(quota - raw, kind="stable")[: total - quota.sum()]] += 1
 
-    rng = np.random.default_rng(seed)
-    labeled_parts, unlabeled_parts = [], []
-    for c in range(len(classes)):
-        perm = rng.permutation(np.flatnonzero(codes == c))
-        labeled_parts.append(perm[: quota[c]])
-        unlabeled_parts.append(perm[quota[c] :])
-    labeled = np.sort(np.concatenate(labeled_parts))
-    unlabeled = np.sort(np.concatenate(unlabeled_parts))
+    perms = list(zip(_shuffled_by_class(codes, len(classes), seed), quota))
+    labeled = np.sort(np.concatenate([perm[:q] for perm, q in perms]))
+    unlabeled = np.sort(np.concatenate([perm[q:] for perm, q in perms]))
     return LabeledSplit(labeled_rows=labeled, unlabeled_rows=unlabeled)

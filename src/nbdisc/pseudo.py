@@ -5,9 +5,9 @@ labeled data) plus a 0/1 mismatch term per categorical feature.  Neighbors
 are found by screen and refine: one matrix product per block of queries
 approximates every distance, and only the closest candidates get the exact
 feature-by-feature sum, which ranks them.  A row whose candidates cannot be
-shown, within a rounding bound, to hold its true neighbors is ranked over
-all exact distances instead.  So a row's neighbors depend only on that row
-and the labeled rows, never on the pool size or the block it is ranked in.
+shown, within a rounding bound, to hold its true neighbors is re-ranked with
+every labeled row as a candidate.  So a row's neighbors depend only on that
+row and the labeled rows, never on the pool size or the block it is ranked in.
 Tie rules are fixed for reproducibility: distance ties prefer the lower
 labeled row index, vote ties prefer the smallest class index (classes sorted
 by token), and accuracy ties in the k search prefer the smallest k.  The
@@ -21,9 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import (
-    AttributeKind, Dataset, _token_codes, categorical_vocab, class_codes, stratified_folds
-)
+from .data import AttributeKind, Dataset, _token_codes, class_codes, stratified_folds
 
 DEFAULT_K_GRID: tuple[int, ...] = tuple(range(1, 32, 2))
 _BLOCK_ENTRIES = 1 << 16  # distances per ranking block: a cache-sized (n_queries, n_ref) slab
@@ -44,9 +42,10 @@ class FeatureSpace:
     """Feature encoding for distance computation, frozen on the labeled data.
 
     Numeric columns are z-scored; a zero-variance column is mapped to zero so
-    it contributes nothing.  Categorical columns become integer codes whose
-    distance contribution is 1 when the codes differ; a token outside the
-    labeled vocabulary gets -1, which differs from every labeled code.
+    it contributes nothing.  Categorical columns become integer codes into
+    ``vocab``, the labeled data's ``Dataset.vocab[j]``; a column adds 1 to a
+    distance when the codes differ.  A token that no labeled row holds differs
+    from every labeled code: by its own code if ``vocab`` lists it, else -1.
     """
 
     names: tuple[str, ...]
@@ -55,7 +54,7 @@ class FeatureSpace:
     categorical_idx: tuple[int, ...]
     means: np.ndarray
     scales: np.ndarray
-    vocab: tuple[tuple[str, ...], ...]
+    vocab: tuple[np.ndarray, ...]
 
     @classmethod
     def fit(cls, labeled: Dataset) -> "FeatureSpace":
@@ -67,7 +66,6 @@ class FeatureSpace:
         cat = tuple(labeled.categorical_attrs())
         means = np.array([labeled.columns[j].mean() for j in num], dtype=float)
         scales = np.array([labeled.columns[j].std() for j in num], dtype=float)
-        vocab = tuple(map(tuple, categorical_vocab([labeled]).values()))
         return cls(
             names=tuple(labeled.names),
             kinds=tuple(labeled.kinds),
@@ -75,7 +73,7 @@ class FeatureSpace:
             categorical_idx=cat,
             means=means,
             scales=scales,
-            vocab=vocab,
+            vocab=tuple(labeled.vocab[j] for j in cat),
         )
 
     def encode(self, data: Dataset) -> np.ndarray:
@@ -101,21 +99,17 @@ class FeatureSpace:
         return len(self.numeric_idx)
 
 
-def _distance_sq(
-    space: FeatureSpace, ref: np.ndarray, queries: np.ndarray, work: np.ndarray | None = None
-) -> np.ndarray:
+def _distance_sq(space: FeatureSpace, ref: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """(n_queries, n_ref) squared distances under the mixed metric.
 
     Accumulated feature by feature in column order, so a distance depends
     only on the two rows: exact ties (duplicate rows, symmetric layouts)
     stay exact at every problem size and the index tie rule is meaningful.
-    A ``work`` buffer of shape (2, >= n_queries, n_ref) replaces fresh arrays.
     ``ref`` may also be a (n_ref, n_queries, width) stack of rows per query:
     then entry (i, j) is the distance of query i to row ``ref[j, i]``.
     """
     cols = np.ascontiguousarray(ref.T)  # reference values, one feature at a time
-    dist, diff = np.empty((2, len(queries), len(ref))) if work is None else work[:, : len(queries)]
-    dist.fill(0.0)
+    dist, diff = np.zeros((2, len(queries), len(ref)))
     for c in range(space.n_numeric):
         np.subtract(queries[:, c, None], cols[c], out=diff)
         dist += np.square(diff, out=diff)
@@ -170,12 +164,18 @@ def _screen_vectors(
     return ref_factor, query_factor
 
 
-def _rank_exact(
-    space: FeatureSpace, ref: np.ndarray, queries: np.ndarray, max_k: int, work: np.ndarray
-) -> np.ndarray:
-    """The first max_k columns of a stable argsort of each exact distance row."""
-    dist = _distance_sq(space, ref, queries, work)
-    return np.argsort(dist, axis=1, kind="stable")[:, :max_k]
+def _rank(
+    space: FeatureSpace, ref: np.ndarray, queries: np.ndarray, cand: np.ndarray, max_k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each query's max_k nearest of its candidate rows ``cand`` and the max_k-th distance.
+
+    ``cand`` holds (n_queries, m) row indices of ``ref``; they are ordered by
+    (exact distance, row index), the rule of a stable argsort of full rows.
+    """
+    # (m, n_queries, width) with a contiguous transpose, read column by column
+    exact = _distance_sq(space, ref.T[:, cand].T, queries)
+    order = np.lexsort((cand, exact))[:, :max_k]
+    return np.take_along_axis(cand, order, axis=1), np.take_along_axis(exact, order[:, -1:], axis=1)[:, 0]
 
 
 def _nearest_neighbors(
@@ -186,20 +186,17 @@ def _nearest_neighbors(
     Ordered by (exact distance, index), as a stable argsort of each exact
     distance row would order them.  Per block of queries, one GEMM of
     screening vectors (``_screen_vectors``) gives every distance up to
-    rounding; ``argpartition`` keeps the ``kk`` smallest as candidates, and
-    only those get exact distances from ``_distance_sq``.  The ranking is
-    certain when no other row can come within the max_k-th exact distance:
-    when its kk-th screen value minus the rounding slack still exceeds it.
-    An uncertain row is ranked over an exact row of all distances.  With at
-    most ``max_k + 8`` labeled rows every row is a candidate, so every
-    ranking is certain and no row falls back.
+    rounding; ``argpartition`` keeps the ``kk`` smallest as candidates for
+    ``_rank``.  The ranking is certain when no other row can come within the
+    max_k-th exact distance: when its kk-th screen value minus the rounding
+    slack still exceeds it, or when every labeled row is a candidate (at most
+    ``max_k + 8`` rows).  An uncertain row is re-ranked with every row.
     """
     n_ref, width = ref.shape
     out = np.empty((len(queries), max_k), dtype=int)
     block = max(1, _BLOCK_ENTRIES // max(n_ref, 1))
     kk = min(n_ref, max_k + _SCREEN_PAD)
     ref = np.asfortranarray(ref)  # so that every block's ref.T is a view, not a copy
-    work = np.empty((2, min(block, len(queries)), n_ref))  # for every exact row of all distances
     ref_factor, query_factor = _screen_vectors(space, ref, queries)
     # Slack, from the dot-product bound |fl(x.y) - x.y| <= gamma_n |x|.|y|
     # (gamma_n = n u / (1 - n u), u = 2**-53, any summation order).  With
@@ -214,24 +211,17 @@ def _nearest_neighbors(
     w = ref_factor.shape[0] - 2
     slack = 1000.0 * (w + width + 6) * 2.0**-53 * (query_factor[:, -2] + ref_factor[-1].max())
     screen = np.empty((min(block, len(queries)), n_ref))
-    cand_work = np.empty((2, min(block, len(queries)), kk))
     for start in range(0, len(queries), block):
-        stop = min(start + block, len(queries))
-        rows = slice(start, stop)
-        dist = np.matmul(query_factor[rows], ref_factor, out=screen[: stop - start])
+        rows = slice(start, min(start + block, len(queries)))
+        dist = np.matmul(query_factor[rows], ref_factor, out=screen[: rows.stop - start])
         cand = np.argpartition(dist, kk - 1, axis=1)[:, :kk]
-        # (kk, n_block, width) whose transpose is contiguous: _distance_sq
-        # reads each candidate's columns in order, as for a full row
-        stack = ref.T[:, cand].T
-        exact = _distance_sq(space, stack, queries[rows], cand_work)
-        order = np.lexsort((cand, exact))[:, :max_k]
-        out[rows] = np.take_along_axis(cand, order, axis=1)
+        out[rows], kth = _rank(space, ref, queries[rows], cand, max_k)
         bound = (np.take_along_axis(dist, cand[:, kk - 1 :], axis=1)[:, 0] - slack[rows]
                  if kk < n_ref else np.inf)  # with every row a candidate, none is missed
-        kth = np.take_along_axis(exact, order[:, -1:], axis=1)[:, 0]
-        unsure = np.flatnonzero(bound <= kth)
+        unsure = start + np.flatnonzero(bound <= kth)
         if unsure.size:
-            out[start + unsure] = _rank_exact(space, ref, queries[start + unsure], max_k, work)
+            every = np.broadcast_to(np.arange(n_ref), (unsure.size, n_ref))
+            out[unsure] = _rank(space, ref, queries[unsure], every, max_k)[0]
     return out
 
 

@@ -309,12 +309,14 @@ def brute_force_neighbors(ref, query, k, n_numeric=None):
     """The k nearest reference row indices, ordered by (distance, row index).
 
     The first ``n_numeric`` columns (all when None) add their squared
-    difference; each later column adds 1 where the codes differ.
+    difference; each later column adds 1 where the codes differ.  Terms are
+    added in column order, and a square is a product: ``x ** 2`` goes through
+    the C library's ``pow``, which can round an exact halfway case above 2**53
+    away from the correctly rounded product.
     """
     m = len(query) if n_numeric is None else n_numeric
     dist = [
-        sum((a - b) ** 2 for a, b in zip(row[:m], query[:m]))
-        + sum(a != b for a, b in zip(row[m:], query[m:]))
+        sum((a - b) * (a - b) if c < m else float(a != b) for c, (a, b) in enumerate(zip(row, query)))
         for row in ref
     ]
     return sorted(range(len(ref)), key=lambda i: (dist[i], i))[:k]

@@ -469,6 +469,20 @@ def test_dataset_arrays_are_read_only(toy_mixed, array):
             array(data)[0] = array(data)[-1]
 
 
+def test_derived_datasets_hold_their_own_containers(toy_mixed_path):
+    # the arrays are shared read-only; the lists and dict holding them are not shared
+    parent = load_csv(toy_mixed_path)
+    names, kinds = list(parent.names), list(parent.kinds)
+    vocab = {j: tokens.tolist() for j, tokens in parent.vocab.items()}
+    for data in (parent.subset([0, 1]), concat_rows([parent])):
+        data.vocab[1] = np.array(["zz"], dtype=object)
+        data.names[0] = "renamed"
+        data.kinds[0] = AttributeKind.CATEGORICAL
+        data.columns[0] = data.columns[1]
+    assert parent.names == names and parent.kinds == kinds and parent.columns[0].dtype == float
+    assert {j: tokens.tolist() for j, tokens in parent.vocab.items()} == vocab
+
+
 def test_concat_rows_schema_mismatch(toy_mixed, iris):
     with pytest.raises(ValueError, match="schema"):
         concat_rows([toy_mixed, iris])

@@ -141,15 +141,19 @@ class TestKnnPredict:
 
 @pytest.fixture
 def fallback_rows(monkeypatch):
-    """Row counts of every ``_rank_exact`` fallback call, in call order."""
+    """Row counts of every re-ranking with every labeled row as a candidate, in call order.
+
+    Such a re-ranking passes one index row broadcast over its queries (stride 0).
+    """
     rows = []
-    real = pseudo._rank_exact
+    real = pseudo._rank
 
-    def counting(space, ref, queries, max_k, work):
-        rows.append(len(queries))
-        return real(space, ref, queries, max_k, work)
+    def counting(space, ref, queries, cand, max_k):
+        if cand.strides[0] == 0:
+            rows.append(len(queries))
+        return real(space, ref, queries, cand, max_k)
 
-    monkeypatch.setattr(pseudo, "_rank_exact", counting)
+    monkeypatch.setattr(pseudo, "_rank", counting)
     return rows
 
 
@@ -170,21 +174,19 @@ class TestNearestNeighbors:
 
     @pytest.mark.parametrize("n_numeric,n_categorical", [(3, 2), (0, 2), (2, 0), (0, 0)])
     def test_reused_work_buffer_gives_fresh_distances(self, n_numeric, n_categorical):
-        # the buffer keeps the previous block's values; none may leak into the next
+        # successive calls of different sizes: each gives its own per-feature sums
         rng = np.random.default_rng(3)
         space = mixed_space(n_numeric, n_categorical)
         width = n_numeric + n_categorical
         ref = rng.integers(0, 3, (50, width)).astype(float)
-        work = np.full((2, 9, 50), np.nan)
         for rows in (9, 4, 9, 1):
             queries = rng.integers(0, 3, (rows, width)).astype(float)
-            got = _distance_sq(space, np.asfortranarray(ref), queries, work)
             want = np.zeros((rows, 50))
             for c in range(width):
                 delta = queries[:, c, None] - ref[None, :, c]
                 want += delta**2 if c < n_numeric else delta != 0
             assert np.array_equal(_distance_sq(space, ref, queries), want)
-            assert np.array_equal(got, want)
+            assert np.array_equal(_distance_sq(space, np.asfortranarray(ref), queries), want)
 
     def test_large_point_count_agrees_with_small_path(self):
         # a large pool is ranked over many blocks; its first rows must rank
@@ -231,6 +233,28 @@ class TestNearestNeighbors:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(pseudo, "_BLOCK_ENTRIES", entries)
                 assert _nearest_neighbors(space, ref, queries, k).tolist() == want
+
+    def test_one_side_far_from_origin_matches_brute_force_at_every_block_size(self):
+        # One side's numeric columns sit near 1e8, where a squared difference
+        # passes 2**53 and one categorical mismatch is within its rounding: exact
+        # distances tie across rows whose screen values differ, and the far
+        # side's norms are the whole rounding slack.  A slack short of either
+        # norm term certifies candidates that miss lower-index ties.
+        rng = np.random.default_rng(0)
+        for _ in range(80):
+            n_numeric, n_categorical = int(rng.integers(1, 3)), int(rng.integers(0, 3))
+            ref = rng.integers(-2, 3, (int(rng.integers(30, 201)), n_numeric + n_categorical)).astype(float)
+            queries = rng.integers(-2, 3, (6, ref.shape[1])).astype(float)
+            shift = np.zeros(ref.shape[1])
+            shift[:n_numeric] = rng.integers(10**8, 13 * 10**7)
+            k = int(rng.integers(1, 6))
+            space = mixed_space(n_numeric, n_categorical)
+            for far_ref, far_queries in ((ref + shift, queries), (ref, queries + shift)):
+                want = [brute_force_neighbors(far_ref.tolist(), q, k, n_numeric) for q in far_queries.tolist()]
+                for entries in BLOCK_ENTRIES:
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(pseudo, "_BLOCK_ENTRIES", entries)
+                        assert _nearest_neighbors(space, far_ref, far_queries, k).tolist() == want
 
     @given(float_code_problems())
     def test_float_categorical_codes_match_brute_force_at_every_block_size(self, problem):
@@ -350,6 +374,20 @@ class TestFeatureSpace:
             _distance_sq(space, ref, query)[0],
             _distance_sq(space, ref, space.encode(seen))[0] + 1.0 - not_red,
         )
+
+    def test_vocabulary_token_no_labeled_row_holds_is_one_away_from_every_row(self):
+        # the labeled rows are a subset, so "pink" keeps its own code in their vocabulary
+        data = make_dataset({"x": [0.0, 1.0, 3.0, 2.0], "c": ["red", "blue", "red", "pink"]},
+                            ["A", "B", "A", "B"])
+        labeled = data.subset([0, 1, 2])
+        space = FeatureSpace.fit(labeled)
+        assert [tokens.tolist() for tokens in space.vocab] == [["blue", "pink", "red"]]
+        ref = space.encode(labeled)
+        pink = space.encode(data.subset([3]))
+        mauve = space.encode(make_dataset({"x": [2.0], "c": ["mauve"]}, ["?"]))
+        assert pink[0, 1] == 1.0 and mauve[0, 1] == -1.0
+        assert np.array_equal(_distance_sq(space, ref, pink), _distance_sq(space, ref, mauve))
+        assert np.array_equal(_distance_sq(space, ref, pink)[0], np.square(ref[:, 0] - pink[0, 0]) + 1.0)
 
     def test_missing_values_rejected(self):
         data = make_dataset({"x": [1.0, np.nan]}, ["A", "B"], missing=[(1, 0)])
