@@ -20,9 +20,12 @@ A bench manifest is a JSON file:
 Config entries take any PipelineConfig field, with a value of its JSON type
 (a string seed or a null k_grid is a usage error); omitted fields use defaults
 and the fully resolved configuration is echoed into the results file along
-with the seed and a per-config hash, so reruns are byte-identical.  The
-``--seed``, ``--folds`` and ``--output-dir`` flags, when given, win over the
-manifest's values; the manifest's values win over the flags' defaults.
+with the seed and a per-config hash, so reruns are byte-identical.  Every
+flag given wins over the manifest: a pipeline flag sets its field in every
+config, a config's own seed included, and ``--folds``, ``--output-dir`` and
+``--dataset`` replace the manifest's values.  discretize, bench and train all
+take their defaults and range checks from PipelineConfig, before any load;
+train has no --seed, since it draws nothing.
 """
 
 from __future__ import annotations
@@ -35,12 +38,13 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
+from dataclasses import fields
 from functools import partial
 from itertools import count, islice
 from pathlib import Path
 
 from .data import Dataset, MISSING_TOKEN, _parse_records, load_csv, load_schema
-from .discretize import DEFAULT_BINS, DEFAULT_N0, METHODS, save_scheme, threshold_curve
+from .discretize import METHODS, save_scheme, threshold_curve
 from .evaluate import (
     CLASSIFIERS,
     EvalReport,
@@ -78,9 +82,16 @@ def _print_diagnostics(diag) -> None:
         print(f"{'AVG'.ljust(width)}  {diag.avg_intervals:9.1f}  {diag.avg_mi:.4f}")
 
 
+def _config_flags(args: argparse.Namespace) -> dict:
+    """The PipelineConfig fields given as flags, by field name."""
+    return {f.name: getattr(args, f.name) for f in fields(PipelineConfig)
+            if getattr(args, f.name, None) is not None}
+
+
 def cmd_discretize(args: argparse.Namespace) -> int:
+    config = config_from_dict(_config_flags(args))
     data = _load_dataset(args.input, args.schema, args.missing_token)
-    scheme, diag = whole_data_diagnostics(data, args.method, args.n0, args.bins)
+    scheme, diag = whole_data_diagnostics(data, config.method, config.n0, config.bins)
     if args.output:
         save_scheme(scheme, args.output)
     _print_diagnostics(diag)
@@ -94,26 +105,14 @@ def cmd_discretize(args: argparse.Namespace) -> int:
 
 
 def _manifest_from_args(args: argparse.Namespace) -> dict:
-    if args.manifest:
-        manifest = json.loads(Path(args.manifest).read_text())
-        if not isinstance(manifest, dict):
-            raise ValueError(f"{args.manifest}: a manifest must be a JSON object")
-    else:
-        if not args.dataset:
-            raise ValueError("either a manifest or --dataset is required")
-        manifest = {
-            "datasets": [{"name": Path(args.dataset).stem, "path": args.dataset}],
-            "configs": [
-                {
-                    "method": args.method,
-                    "classifier": args.classifier,
-                    "n0": args.n0,
-                    "bins": args.bins,
-                    "labeled_fraction": args.labeled_fraction,
-                    "transductive": not args.inductive,
-                }
-            ],
-        }
+    if not args.manifest and not args.dataset:
+        raise ValueError("either a manifest or --dataset is required")
+    # without a manifest: one config of the flags given
+    manifest = json.loads(Path(args.manifest).read_text()) if args.manifest else {"configs": [{}]}
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{args.manifest}: a manifest must be a JSON object")
+    if args.dataset:
+        manifest["datasets"] = [{"name": Path(args.dataset).stem, "path": args.dataset}]
     datasets, configs = manifest.get("datasets"), manifest.get("configs")
     if not datasets or not configs:
         raise ValueError("manifest needs at least one dataset and one config")
@@ -154,7 +153,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError("--jobs must be at least 1")
     manifest = _manifest_from_args(args)
     seed, folds = manifest["seed"], manifest["folds"]
-    configs = [config_from_dict({"seed": seed, **doc}) for doc in manifest["configs"]]
+    flags = _config_flags(args)
+    configs = [config_from_dict({"seed": seed, **doc, **flags}) for doc in manifest["configs"]]
     out_dir = Path(manifest["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -195,19 +195,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = PipelineConfig(
-        method=args.method,
-        classifier=args.classifier,
-        n0=args.n0,
-        bins=args.bins,
-        max_iter=args.max_iter,
-        seed=args.seed,
-    )
+    config = config_from_dict(_config_flags(args))
     data = _load_dataset(args.input, args.schema, args.missing_token)
     fitted, _ = fit_pipeline(data, config)
     doc = {
         "format": MODEL_FORMAT,
-        "seed": args.seed,
+        "seed": config.seed,
         "missing_token": args.missing_token,
         "config": {
             key: getattr(config, key) for key in ("method", "classifier", "n0", "bins", "max_iter")
@@ -292,11 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nbdisc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # the pipeline options that discretize, bench and train share
+    # shared by discretize, bench and train; a pipeline flag's dest is its config field
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--method", choices=METHODS, default="sadd")
-    shared.add_argument("--n0", type=int, default=DEFAULT_N0)
-    shared.add_argument("--bins", type=int, default=DEFAULT_BINS)
+    shared.add_argument("--method", choices=METHODS)
+    shared.add_argument("--n0", type=int)
+    shared.add_argument("--bins", type=int)
     shared.add_argument("--missing-token", default=MISSING_TOKEN)
 
     p = sub.add_parser("discretize", parents=[shared], help="build a cut-point scheme for one CSV")
@@ -308,12 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", parents=[shared], help="cross-validation benchmark")
     p.add_argument("manifest", nargs="?", help="manifest JSON file")
-    p.add_argument("--dataset", help="single CSV to benchmark (instead of a manifest)")
-    p.add_argument("--classifier", choices=CLASSIFIERS, default="nb")
+    p.add_argument("--dataset", help="CSV to benchmark (replaces a manifest's datasets)")
+    p.add_argument("--classifier", choices=CLASSIFIERS)
     p.add_argument("--folds", type=int, help="default: the manifest's, else 10")
     p.add_argument("--seed", type=int, help="default: the manifest's, else 0")
-    p.add_argument("--labeled-fraction", type=float, default=1.0)
-    p.add_argument("--inductive", action="store_true",
+    p.add_argument("--labeled-fraction", type=float)
+    p.add_argument("--inductive", dest="transductive", action="store_false", default=None,
                    help="keep test-row features out of scheme derivation")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--output-dir", help="default: the manifest's, else results")
@@ -322,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[shared], help="fit and save scheme+model")
     p.add_argument("input", help="training CSV")
     p.add_argument("--classifier", choices=CLASSIFIERS, default="rnb")
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-iter", type=int)
     p.add_argument("--schema", help="sidecar schema file")
     p.add_argument("--output", required=True, help="model file to write")
     p.set_defaults(func=cmd_train)

@@ -116,6 +116,8 @@ class PipelineConfig:
             raise ValueError("n0 must be at least 1")
         if self.bins < 1:
             raise ValueError("bins must be at least 1")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be at least 0")
         if not self.k_grid or min(self.k_grid) < 1:
             raise ValueError("k_grid must hold at least one k, each at least 1")
         if self.pseudo_label and self.method in ("eqw", "eqf"):
@@ -314,13 +316,15 @@ def run_fold(
     ``config`` and ``stages`` are passed on to ``fit_pipeline``."""
     train_rows = np.asarray(train_rows, dtype=int)
     test_rows = np.asarray(test_rows, dtype=int)
-    if np.intersect1d(train_rows, test_rows).size:
-        raise PipelineError("setup", "train and test rows overlap")
     if train_rows.size == 0 or test_rows.size == 0:
         raise PipelineError("setup", "train and test rows must be non-empty")
     rows = np.concatenate([train_rows, test_rows])
     if rows.min() < 0 or rows.max() >= data.n_rows:
         raise PipelineError("setup", "row index out of range")
+    in_train = np.zeros(data.n_rows, dtype=bool)
+    in_train[train_rows] = True
+    if in_train[test_rows].any():
+        raise PipelineError("setup", "train and test rows overlap")
     test = data.subset(test_rows)
     fitted, selected_k = fit_pipeline(data.subset(train_rows), config, test, stages)
     try:

@@ -79,6 +79,22 @@ class TestDiscretizeCommand:
             main(["discretize", str(iris_path), "--method", "nope"])
         assert err.value.code != 0
 
+    @pytest.mark.parametrize("method", ["mdlp", "sadd", "eqw", "eqf"])
+    @pytest.mark.parametrize("flag, message", [
+        ("--n0", "n0 must be at least 1"), ("--bins", "bins must be at least 1"),
+    ])
+    def test_out_of_range_config_rejected_before_loading(
+        self, method, flag, message, iris_path, tmp_path, capsys, monkeypatch
+    ):
+        loads = []
+        monkeypatch.setattr(cli, "_load_dataset", lambda *args: loads.append(args))
+        scheme_path = tmp_path / "scheme.json"
+        code = main(["discretize", str(iris_path), "--method", method, flag, "0",
+                     "--output", str(scheme_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert loads == [] and not scheme_path.exists()
+
     def test_missing_file(self, tmp_path):
         assert main(["discretize", str(tmp_path / "absent.csv")]) == 2
 
@@ -286,11 +302,13 @@ class TestTrainPredict:
         assert preds_path.read_bytes() == (tmp_path / "want.csv").read_bytes()
         assert set(labels) == set(classes)
 
-    def test_negative_seed_rejected(self, separable_csv, tmp_path, capsys):
+    def test_seed_flag_is_a_usage_error(self, separable_csv, tmp_path, capsys):
+        # train draws nothing, so it takes no seed
         model_path = tmp_path / "model.json"
-        code = main(["train", str(separable_csv), "--seed", "-1", "--output", str(model_path)])
-        assert code == 2
-        assert "seed must be non-negative" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_:
+            main(["train", str(separable_csv), "--seed", "7", "--output", str(model_path)])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
         assert not model_path.exists()
 
     def test_duplicate_column_names_rejected(self, tmp_path, capsys):
@@ -315,12 +333,14 @@ class TestTrainPredict:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert loads == [] and not model_path.exists()
 
-    def test_negative_max_iter_rejected(self, separable_csv, tmp_path, capsys):
+    def test_negative_max_iter_rejected(self, separable_csv, tmp_path, capsys, monkeypatch):
+        loads = []
+        monkeypatch.setattr(cli, "_load_dataset", lambda *args: loads.append(args))
         model_path = tmp_path / "model.json"
         code = main(["train", str(separable_csv), "--max-iter", "-1", "--output", str(model_path)])
         assert code == 2
-        assert "error [fit] max_iter must be at least 0" in capsys.readouterr().err
-        assert not model_path.exists()
+        assert capsys.readouterr().err == "error: max_iter must be at least 0\n"
+        assert loads == [] and not model_path.exists()
 
 
 
@@ -555,10 +575,11 @@ class TestBenchCommand:
         lambda m: {**m, "configs": [{"method": "eqw", "bins": 0}]},
         lambda m: {**m, "configs": [{"k_grid": []}]},
         lambda m: {**m, "configs": [{"k_grid": [3, 0]}]},
+        lambda m: {**m, "configs": [{"max_iter": -1}]},
     ], ids=["list", "datasets-string", "configs-number", "config-number", "k_grid-null",
             "labeled_fraction-string", "seed-string", "output_dir-number", "folds-float",
             "seed-bool", "schema-number", "dataset-name-repeated", "n0-zero", "mdlp-n0-zero",
-            "bins-zero", "k_grid-empty", "k_grid-zero"])
+            "bins-zero", "k_grid-empty", "k_grid-zero", "max_iter-negative"])
     def test_malformed_manifest_usage_error(
         self, change, iris_path, tmp_path, capsys, monkeypatch
     ):
@@ -733,6 +754,37 @@ class TestBenchCommand:
         assert main(["bench", str(manifest), "--output-dir", str(out), "--folds", "3"]) == 0
         results = json.loads((out / "results.json").read_text())
         assert results["seed"] == 0 and results["runs"][0]["folds"] == 3
+
+    def test_pipeline_flags_set_every_manifest_config(self, iris_path, tmp_path):
+        manifest = write_manifest(tmp_path, iris_path, [
+            {"method": "sadd", "classifier": "nb", "seed": 3, "max_iter": 5},
+            {"method": "eqw", "classifier": "rnb", "bins": 4, "max_iter": 5},
+        ], folds=3)
+        assert main(["bench", str(manifest), "--method", "mdlp", "--classifier", "wanbia",
+                     "--labeled-fraction", "0.5", "--inductive", "--seed", "7"]) == 0
+        results = json.loads((tmp_path / "out" / "results.json").read_text())
+        assert results["seed"] == 7
+        given = {"method": "mdlp", "classifier": "wanbia", "labeled_fraction": 0.5,
+                 "transductive": False, "seed": 7, "max_iter": 5}
+        configs = [run["config"] for run in results["runs"]]
+        assert [{key: config[key] for key in given} for config in configs] == [given, given]
+        assert [config["bins"] for config in configs] == [PipelineConfig().bins, 4]
+
+    def test_dataset_flag_replaces_the_manifest_datasets(self, iris_path, toy_mixed_path, tmp_path):
+        manifest = write_manifest(tmp_path, iris_path, [{"method": "mdlp"}], folds=3)
+        assert main(["bench", str(manifest), "--dataset", str(toy_mixed_path)]) == 0
+        results = json.loads((tmp_path / "out" / "results.json").read_text())
+        assert [run["dataset"] for run in results["runs"]] == ["toy_mixed"]
+
+    def test_flags_alone_match_a_manifest_of_the_same_config(self, iris_path, tmp_path):
+        flags = tmp_path / "flags"
+        assert main(["bench", "--dataset", str(iris_path), "--method", "eqf", "--bins", "8",
+                     "--labeled-fraction", "0.6", "--folds", "5", "--output-dir", str(flags)]) == 0
+        manifest = write_manifest(tmp_path, iris_path,
+                                  [{"method": "eqf", "bins": 8, "labeled_fraction": 0.6}], folds=5)
+        assert main(["bench", str(manifest)]) == 0
+        for name in ("results.json", "results.txt"):
+            assert (flags / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
 
     def test_manifest_values_win_over_flag_defaults(self, iris_path, tmp_path):
         manifest = write_manifest(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import re
@@ -19,6 +20,7 @@ import nbdisc.discretize as discretize_module
 import nbdisc.evaluate as evaluate_module
 import nbdisc.pseudo as pseudo_module
 import nbdisc.weighted_nb as weighted_nb_module
+from nbdisc.cli import build_parser
 from nbdisc.data import Dataset, load_csv, stratified_folds
 from nbdisc.evaluate import (
     STAGE_READS,
@@ -195,11 +197,12 @@ class TestPipelineConfig:
         ("bins", 0, "bins must be at least 1"),
         ("k_grid", (), "k_grid must hold at least one k"),
         ("k_grid", (3, 0), "k_grid must hold at least one k"),
+        ("max_iter", -1, "max_iter must be at least 0"),
     ])
     def test_out_of_range_fields_rejected_for_every_method(self, method, field, value, message):
         with pytest.raises(ValueError, match=message):
             PipelineConfig(method=method, **{field: value})
-        PipelineConfig(method=method, n0=1, bins=1, k_grid=(1,))
+        PipelineConfig(method=method, n0=1, bins=1, k_grid=(1,), max_iter=0)
 
     def test_label_reflects_pseudo_override(self):
         assert PipelineConfig(method="mdlp", pseudo_label=True).label() == "mdlp+nb:pl"
@@ -617,6 +620,18 @@ class TestStageSharing:
         read = {name for names in STAGE_READS.values() for name in names}
         assert read.isdisjoint(unread)
         assert read | unread == {f.name for f in fields(PipelineConfig)}
+
+    def test_every_pipeline_flag_is_a_config_field(self):
+        # a flag whose dest is no config field would be dropped, not applied
+        not_config = {"help", "input", "output", "schema", "manifest", "dataset", "folds",
+                      "output_dir", "jobs", "missing_token", "diagnostics_out"}
+        config_fields = {f.name for f in fields(PipelineConfig)}
+        assert not_config.isdisjoint(config_fields)
+        commands = next(action.choices for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        for command in ("discretize", "bench", "train"):
+            for action in commands[command]._actions:
+                assert action.dest in config_fields | not_config, (command, action.dest)
 
 
 def test_tokens_are_coded_only_at_load(tmp_path, monkeypatch):
