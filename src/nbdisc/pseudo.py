@@ -24,7 +24,7 @@ import numpy as np
 from .data import AttributeKind, Dataset, _token_codes, class_codes, stratified_folds
 
 DEFAULT_K_GRID: tuple[int, ...] = tuple(range(1, 32, 2))
-_BLOCK_ENTRIES = 1 << 16  # distances per ranking block: a cache-sized (n_queries, n_ref) slab
+_BLOCK_ENTRIES = 1 << 17  # screen keys per ranking block: a cache-sized (n_queries, n_ref) slab
 _SCREEN_PAD = 8  # screened candidates kept beyond max_k, so near-ties stay certain
 
 
@@ -186,16 +186,20 @@ def _nearest_neighbors(
     Ordered by (exact distance, index), as a stable argsort of each exact
     distance row would order them.  Per block of queries, one GEMM of
     screening vectors (``_screen_vectors``) gives every distance up to
-    rounding; ``argpartition`` keeps the ``kk`` smallest as candidates for
-    ``_rank``.  The ranking is certain when no other row can come within the
-    max_k-th exact distance: when its kk-th screen value minus the rounding
-    slack still exceeds it, or when every labeled row is a candidate (at most
-    ``max_k + 8`` rows).  An uncertain row is re-ranked with every row.
+    rounding.  Each value's float bits, low bits replaced by its row index,
+    are an int64 key, which for a finite non-negative value orders like it;
+    one in-place ``partition`` keeps the ``kk`` smallest keys, whose index
+    fields are the candidates for ``_rank``.  The ranking is certain when no
+    other row can come within the max_k-th exact distance: when the kk-th
+    key, index field cleared, minus the rounding slack still exceeds it, or
+    when every labeled row is a candidate (at most ``max_k + 8`` rows).  An
+    uncertain row is re-ranked with every row.
     """
     n_ref, width = ref.shape
     out = np.empty((len(queries), max_k), dtype=int)
     block = max(1, _BLOCK_ENTRIES // max(n_ref, 1))
     kk = min(n_ref, max_k + _SCREEN_PAD)
+    low, index = (1 << max(n_ref - 1, 1).bit_length()) - 1, np.arange(n_ref)  # a key's index field
     ref = np.asfortranarray(ref)  # so that every block's ref.T is a view, not a copy
     ref_factor, query_factor = _screen_vectors(space, ref, queries)
     # Slack, from the dot-product bound |fl(x.y) - x.y| <= gamma_n |x|.|y|
@@ -207,20 +211,24 @@ def _nearest_neighbors(
     #   relative, is off by <= gamma_{width+2} D <= 2 gamma_{width+2} N.
     # Screen and exact value differ by <= 3 gamma_{w+width+6} N.  The slack
     # is over 300 times that, with N <= |v_q|^2 + max |v_r|^2; the margin
-    # also covers rounding the slack and subtracting it.
+    # also covers rounding the slack and subtracting it.  The bound truncates
+    # (index field cleared, never above a non-negative value), so it takes none.
     w = ref_factor.shape[0] - 2
     slack = 1000.0 * (w + width + 6) * 2.0**-53 * (query_factor[:, -2] + ref_factor[-1].max())
     screen = np.empty((min(block, len(queries)), n_ref))
     for start in range(0, len(queries), block):
         rows = slice(start, min(start + block, len(queries)))
-        dist = np.matmul(query_factor[rows], ref_factor, out=screen[: rows.stop - start])
-        cand = np.argpartition(dist, kk - 1, axis=1)[:, :kk]
-        out[rows], kth = _rank(space, ref, queries[rows], cand, max_k)
-        bound = (np.take_along_axis(dist, cand[:, kk - 1 :], axis=1)[:, 0] - slack[rows]
-                 if kk < n_ref else np.inf)  # with every row a candidate, none is missed
+        # Negative values (rounding near a duplicate row) and sign-set NaN key first,
+        # other NaN last (where numpy sorts put NaN); a negative kk-th value is unsure.
+        keys = np.matmul(query_factor[rows], ref_factor, out=screen[: rows.stop - start]).view(np.int64)
+        keys &= ~low
+        keys |= index
+        keys.partition(kk - 1, axis=1)
+        out[rows], kth = _rank(space, ref, queries[rows], keys[:, :kk] & low, max_k)
+        bound = (keys[:, kk - 1] & ~low).view(np.float64) - slack[rows] if kk < n_ref else np.inf
         unsure = start + np.flatnonzero(bound <= kth)
         if unsure.size:
-            every = np.broadcast_to(np.arange(n_ref), (unsure.size, n_ref))
+            every = np.broadcast_to(index, (unsure.size, n_ref))
             out[unsure] = _rank(space, ref, queries[unsure], every, max_k)[0]
     return out
 

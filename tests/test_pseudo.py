@@ -26,7 +26,7 @@ from nbdisc.pseudo import (
     select_k,
 )
 
-BLOCK_ENTRIES = (1, 7, 64, 1 << 16)
+BLOCK_ENTRIES = (1, 7, 64, pseudo._BLOCK_ENTRIES)  # the default block size is always under test
 
 
 def mixed_space(n_numeric: int, n_categorical: int) -> FeatureSpace:
@@ -279,6 +279,49 @@ class TestNearestNeighbors:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(pseudo, "_BLOCK_ENTRIES", entries)
                 assert _nearest_neighbors(space, ref, queries, k).tolist() == want
+
+    @pytest.mark.parametrize("n_ref", [1, 2, 3, 4, 5, 8, 9, 64, 65, 256, 257])
+    def test_index_field_edges_match_brute_force_at_every_block_size(self, n_ref):
+        # a key's index field is bit_length(n_ref - 1) bits wide (1 bit for one
+        # row); grid rows tie, so the index decides among equal screen values
+        rng = np.random.default_rng(n_ref)
+        space = mixed_space(2, 1)
+        ref = rng.integers(0, 3, (n_ref, 3)).astype(float)
+        queries = np.concatenate([rng.integers(0, 3, (6, 3)).astype(float), ref[-2:]])
+        for k in sorted({1, min(n_ref, 3), n_ref}):
+            want = [brute_force_neighbors(ref.tolist(), q, k, 2) for q in queries.tolist()]
+            for entries in BLOCK_ENTRIES:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(pseudo, "_BLOCK_ENTRIES", entries)
+                    assert _nearest_neighbors(space, ref, queries, k).tolist() == want
+
+    def test_negative_kth_screen_value_falls_back(self, fallback_rows):
+        # 40 near-duplicate rows near 1e9: the GEMM rounds half their screen
+        # values below 0, so each query's kk-th key is negative
+        space, max_k = _all_numeric_space(2), 3
+        ref = 1e9 + 0.3 + 0.25 * np.array([[i % 2, i // 2 % 2] for i in range(40)], float)
+        queries = ref[:4]
+        ref_factor, query_factor = pseudo._screen_vectors(space, ref, queries)
+        screen = np.sort(query_factor @ ref_factor, axis=1)
+        assert (screen[:, max_k + pseudo._SCREEN_PAD - 1] < 0).all()
+        got = _nearest_neighbors(space, ref, queries, max_k)
+        assert fallback_rows == [len(queries)]
+        assert got.tolist() == [brute_force_neighbors(ref.tolist(), q, max_k) for q in queries.tolist()]
+
+    def test_bound_clears_the_index_field(self, fallback_rows):
+        # Screen values of 2**42 + m ulps (ulp 2**-10) for m < 4096 share their
+        # high bits at 4096 rows, so keys order them by index.  The kk rows
+        # below 4094 (m = 1000) are the candidates for max_k 1, and row 4094
+        # (m = 100) is nearer.  The kk-th key with row 4093 in its index field
+        # reads 4093 ulps above the truncated value, past the 2000-ulp slack, so
+        # a bound that kept the index field would certify the wrong neighbor.
+        a, kk = 2.0**20, 1 + pseudo._SCREEN_PAD
+        m = np.full(4096, 2**20)  # far rows: 2**20 ulps beyond the shared high bits
+        m[4094 - kk : 4094], m[4094] = 1000, 100
+        ref = (a + m * 2.0**-32)[:, None]  # distance (a + r)**2 = 2**42 + m * 2**-10 exactly
+        got = _nearest_neighbors(_all_numeric_space(1), ref, np.array([[-a]]), 1)
+        assert got.tolist() == [brute_force_neighbors(ref.tolist(), [-a], 1)] == [[4094]]
+        assert fallback_rows == [1]
 
     def test_identical_rows_keep_the_lowest_indices(self):
         # all-zero rows: every screen value, its slack and every exact
