@@ -2,7 +2,7 @@
 
 Distances are Euclidean over z-scored numeric features (statistics from the
 labeled data) plus a 0/1 mismatch term per categorical feature.  Neighbors
-are found by screen and refine: one matrix product per block of queries
+are found by screen and refine: one float32 matrix product per query block
 approximates every distance, and only the closest candidates get the exact
 feature-by-feature sum, which ranks them.  A row whose candidates cannot be
 shown, within a rounding bound, to hold its true neighbors is re-ranked with
@@ -24,7 +24,7 @@ import numpy as np
 from .data import AttributeKind, Dataset, _token_codes, class_codes, stratified_folds
 
 DEFAULT_K_GRID: tuple[int, ...] = tuple(range(1, 32, 2))
-_BLOCK_ENTRIES = 1 << 17  # screen keys per ranking block: a cache-sized (n_queries, n_ref) slab
+_BLOCK_ENTRIES = 1 << 18  # screen keys per ranking block: a cache-sized (n_queries, n_ref) slab
 _SCREEN_PAD = 8  # screened candidates kept beyond max_k, so near-ties stay certain
 
 
@@ -184,49 +184,59 @@ def _nearest_neighbors(
     """(n_queries, max_k) labeled-row indices in nearest-first order.
 
     Ordered by (exact distance, index), as a stable argsort of each exact
-    distance row would order them.  Per block of queries, one GEMM of
-    screening vectors (``_screen_vectors``) gives every distance up to
+    distance row would order them.  Per block of queries, one float32 GEMM
+    of screening vectors (``_screen_vectors``) gives every distance up to
     rounding.  Each value's float bits, low bits replaced by its row index,
-    are an int64 key, which for a finite non-negative value orders like it;
+    are an int32 key, which for a finite non-negative value orders like it;
     one in-place ``partition`` keeps the ``kk`` smallest keys, whose index
     fields are the candidates for ``_rank``.  The ranking is certain when no
     other row can come within the max_k-th exact distance: when the kk-th
-    key, index field cleared, minus the rounding slack still exceeds it, or
-    when every labeled row is a candidate (at most ``max_k + 8`` rows).  An
-    uncertain row is re-ranked with every row.
+    key, index field cleared, minus the rounding slack is a number that
+    still exceeds it, or when every labeled row is a candidate (at most
+    ``max_k + 8`` rows).  An uncertain row is re-ranked with every row.
     """
     n_ref, width = ref.shape
     out = np.empty((len(queries), max_k), dtype=int)
     block = max(1, _BLOCK_ENTRIES // max(n_ref, 1))
     kk = min(n_ref, max_k + _SCREEN_PAD)
-    low, index = (1 << max(n_ref - 1, 1).bit_length()) - 1, np.arange(n_ref)  # a key's index field
+    low = (1 << max(n_ref - 1, 1).bit_length()) - 1  # a key's index field
+    index = np.arange(n_ref, dtype=np.int32)
     ref = np.asfortranarray(ref)  # so that every block's ref.T is a view, not a copy
     ref_factor, query_factor = _screen_vectors(space, ref, queries)
     # Slack, from the dot-product bound |fl(x.y) - x.y| <= gamma_n |x|.|y|
-    # (gamma_n = n u / (1 - n u), u = 2**-53, any summation order).  With
-    # w screening columns, N = |v_q|^2 + |v_r|^2 and D the mixed distance:
-    # - screen: the GEMM is off by <= 2 gamma_{w+2} N, the rounded norms
-    #   by gamma_w N and the rounded 1/sqrt(2) by 3u N, so <= 3 gamma_{w+4} N;
-    # - exact: a column-order sum of ``width`` terms, each within gamma_3
-    #   relative, is off by <= gamma_{width+2} D <= 2 gamma_{width+2} N.
-    # Screen and exact value differ by <= 3 gamma_{w+width+6} N.  The slack
-    # is over 300 times that, with N <= |v_q|^2 + max |v_r|^2; the margin
-    # also covers rounding the slack and subtracting it.  The bound truncates
-    # (index field cleared, never above a non-negative value), so it takes none.
+    # (gamma_n = n u / (1 - n u), any summation order, with or without FMA).
+    # With w screening columns, N = |v_q|^2 + |v_r|^2 and D the mixed
+    # distance, the factors' |x|.|y| is at most 2N, and in float32 (u = 2**-24):
+    # - rounding the float64 factors to float32 costs <= 4u N;
+    # - the GEMM is off by <= 2 gamma_{w+2} N;
+    # - the float64 parts (norms, 1/sqrt(2), the exact column-order sum, off
+    #   by <= gamma_{width+2} D) are negligible, at a 2**-29 times smaller u.
+    # Screen and exact value differ by <= 2 (w + 4) u N to first order.  The
+    # slack is at least 8 times that, with N <= |v_q|^2 + max |v_r|^2, which
+    # covers higher orders and rounding the slack and subtracting it.  For
+    # 2**-100 <= N <= 2**100 no float32 value overflows and underflow adds at
+    # most about 2**-25 u N per product; elsewhere (NaN too) the slack is NaN,
+    # so no bound is certain.  The bound truncates (index field cleared,
+    # never above a non-negative value), so it takes none.
     w = ref_factor.shape[0] - 2
-    slack = 1000.0 * (w + width + 6) * 2.0**-53 * (query_factor[:, -2] + ref_factor[-1].max())
-    screen = np.empty((min(block, len(queries)), n_ref))
+    norm = query_factor[:, -2] + ref_factor[-1].max()
+    norm[(norm < 2.0**-100) | (norm > 2.0**100)] = np.nan  # outside the bound's range
+    slack = 16.0 * (w + width + 6) * 2.0**-24 * norm
+    with np.errstate(over="ignore", invalid="ignore"):  # out-of-range rows overflow
+        ref_factor, query_factor = ref_factor.astype(np.float32), query_factor.astype(np.float32)
+    screen = np.empty((min(block, len(queries)), n_ref), dtype=np.float32)
     for start in range(0, len(queries), block):
         rows = slice(start, min(start + block, len(queries)))
         # Negative values (rounding near a duplicate row) and sign-set NaN key first,
         # other NaN last (where numpy sorts put NaN); a negative kk-th value is unsure.
-        keys = np.matmul(query_factor[rows], ref_factor, out=screen[: rows.stop - start]).view(np.int64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            keys = np.matmul(query_factor[rows], ref_factor, out=screen[: rows.stop - start]).view(np.int32)
         keys &= ~low
         keys |= index
         keys.partition(kk - 1, axis=1)
         out[rows], kth = _rank(space, ref, queries[rows], keys[:, :kk] & low, max_k)
-        bound = (keys[:, kk - 1] & ~low).view(np.float64) - slack[rows] if kk < n_ref else np.inf
-        unsure = start + np.flatnonzero(bound <= kth)
+        bound = (keys[:, kk - 1] & ~low).view(np.float32) - slack[rows] if kk < n_ref else np.inf
+        unsure = start + np.flatnonzero(~(bound > kth))
         if unsure.size:
             every = np.broadcast_to(index, (unsure.size, n_ref))
             out[unsure] = _rank(space, ref, queries[unsure], every, max_k)[0]

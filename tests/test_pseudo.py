@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import brute_force_knn, brute_force_neighbors, make_dataset
+from helpers import brute_force_knn, brute_force_neighbors, load_bench_gen, make_dataset
 
 from nbdisc import pseudo
-from nbdisc.data import AttributeKind, impute_missing, stratified_folds
+from nbdisc.data import AttributeKind, impute_missing, load_csv, stratified_folds
 from nbdisc.pseudo import (
     FeatureSpace,
     KnnConfig,
@@ -296,32 +296,72 @@ class TestNearestNeighbors:
                     assert _nearest_neighbors(space, ref, queries, k).tolist() == want
 
     def test_negative_kth_screen_value_falls_back(self, fallback_rows):
-        # 40 near-duplicate rows near 1e9: the GEMM rounds half their screen
-        # values below 0, so each query's kk-th key is negative
+        # 40 near-duplicate rows near 3e4: the float32 GEMM rounds most of their
+        # screen values below 0, so each query's kk-th key is negative
         space, max_k = _all_numeric_space(2), 3
-        ref = 1e9 + 0.3 + 0.25 * np.array([[i % 2, i // 2 % 2] for i in range(40)], float)
+        ref = 3e4 + 0.3 + 0.25 * np.array([[i % 2, i // 2 % 2] for i in range(40)], float)
         queries = ref[:4]
         ref_factor, query_factor = pseudo._screen_vectors(space, ref, queries)
-        screen = np.sort(query_factor @ ref_factor, axis=1)
+        screen = np.sort(query_factor.astype(np.float32) @ ref_factor.astype(np.float32), axis=1)
         assert (screen[:, max_k + pseudo._SCREEN_PAD - 1] < 0).all()
         got = _nearest_neighbors(space, ref, queries, max_k)
         assert fallback_rows == [len(queries)]
         assert got.tolist() == [brute_force_neighbors(ref.tolist(), q, max_k) for q in queries.tolist()]
 
     def test_bound_clears_the_index_field(self, fallback_rows):
-        # Screen values of 2**42 + m ulps (ulp 2**-10) for m < 4096 share their
-        # high bits at 4096 rows, so keys order them by index.  The kk rows
-        # below 4094 (m = 1000) are the candidates for max_k 1, and row 4094
-        # (m = 100) is nearer.  The kk-th key with row 4093 in its index field
-        # reads 4093 ulps above the truncated value, past the 2000-ulp slack, so
-        # a bound that kept the index field would certify the wrong neighbor.
-        a, kk = 2.0**20, 1 + pseudo._SCREEN_PAD
-        m = np.full(4096, 2**20)  # far rows: 2**20 ulps beyond the shared high bits
-        m[4094 - kk : 4094], m[4094] = 1000, 100
-        ref = (a + m * 2.0**-32)[:, None]  # distance (a + r)**2 = 2**42 + m * 2**-10 exactly
-        got = _nearest_neighbors(_all_numeric_space(1), ref, np.array([[-a]]), 1)
-        assert got.tolist() == [brute_force_neighbors(ref.tolist(), [-a], 1)] == [[4094]]
+        # Query 0 against rows 2**12 + j, j even: each screen value is the row's
+        # (2**12 + j)**2 = 2**24 + 2**13 j + j**2, exact in float32 (ulp 2).  At
+        # 2**14 rows the 14-bit index field spans 2**15, so j = 0 and j = 2 share
+        # their high bits and keys order them by index.  The kk rows below 16382
+        # (j = 2) are the candidates for max_k 1, and row 16382 (j = 0) is nearer.
+        # The kk-th key with row 16381 in its index field reads 2**24 + 32762,
+        # past the best candidate's 2**24 + 16388 by far more than the slack
+        # (200), so a bound that kept the index field would certify the wrong row.
+        n, kk = 2**14, 1 + pseudo._SCREEN_PAD
+        j = np.full(n, 1024)  # far rows
+        j[n - 2 - kk : n - 2], j[n - 2] = 2, 0
+        ref = (2.0**12 + j)[:, None]
+        got = _nearest_neighbors(_all_numeric_space(1), ref, np.zeros((1, 1)), 1)
+        assert got.tolist() == [brute_force_neighbors(ref.tolist(), [0.0], 1)] == [[n - 2]]
         assert fallback_rows == [1]
+
+    @pytest.mark.parametrize(
+        "ref",
+        [
+            1e20 * (1 - 0.1 * (200 - np.arange(200)) / 200),  # float32 inf - inf: a NaN kk-th key
+            1e18 * np.arange(200) / 200,  # the query's norm overflows float32: a +inf kk-th key
+        ],
+    )
+    def test_non_finite_screen_value_falls_back(self, fallback_rows, ref):
+        # N is near 1e40, past float32's range, so no bound holds: a certified
+        # row would be ranked among the lowest-index keys, [[10, 9, 8]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _nearest_neighbors(_all_numeric_space(1), ref[:, None], np.array([[1e20]]), 3)
+        assert got.tolist() == [[199, 198, 197]]
+        assert fallback_rows == [1]
+
+    def test_below_float32_range_matches_brute_force(self):
+        # norms near 1e-50 underflow float32 to 0, so the screen says nothing
+        rng = np.random.default_rng(11)
+        ref, queries = 1e-25 * rng.normal(size=(200, 2)), 1e-25 * rng.normal(size=(6, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _nearest_neighbors(_all_numeric_space(2), ref, queries, 3)
+        assert got.tolist() == [brute_force_neighbors(ref.tolist(), q, 3) for q in queries.tolist()]
+
+    def test_no_fallback_on_a_semi_supervised_shape(self, fallback_rows, tmp_path):
+        # The benchmark's semi-supervised rows (6 numeric and 2 categorical
+        # columns), 2000 labeled: every ranking is certain.  A slack 64 times
+        # too wide sends 35 of the 250 rows to the every-row re-ranking, which
+        # changes no neighbor, only the time.
+        gen = load_bench_gen()
+        gen.write(tmp_path / "data.csv", gen.generate(gen.Shape(6, 2, 4, 0.0, 0.8), 2250, seed=0))
+        data = load_csv(tmp_path / "data.csv")
+        labeled, pool = data.subset(np.arange(2000)), data.subset(np.arange(2000, 2250))
+        space = FeatureSpace.fit(labeled)
+        _nearest_neighbors(space, space.encode(labeled), space.encode(pool), 25)
+        assert fallback_rows == []
 
     def test_identical_rows_keep_the_lowest_indices(self):
         # all-zero rows: every screen value, its slack and every exact
