@@ -61,7 +61,7 @@ from .evaluate import (
     whole_data_diagnostics,
 )
 
-MODEL_FORMAT = "nbdisc-model-v1"
+MODEL_FORMAT = "nbdisc-model-v2"
 PREDICT_BLOCK_ROWS = 4096  # records `predict` parses, scores and writes at a time
 
 
@@ -200,14 +200,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     fitted, _ = fit_pipeline(data, config)
     doc = {
         "format": MODEL_FORMAT,
-        "seed": config.seed,
         "missing_token": args.missing_token,
         "config": {
             key: getattr(config, key) for key in ("method", "classifier", "n0", "bins", "max_iter")
         },
-        "schema": [
-            {"name": n, "kind": k.value} for n, k in zip(data.names, data.kinds)
-        ],
         **fitted.to_dict(),
     }
     Path(args.output).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -240,8 +236,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if not model_path.exists():
         raise FileNotFoundError(f"model file not found: {args.model}")
     doc = json.loads(model_path.read_text())
-    if doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"{args.model}: not a model file")
+    if (found := doc.get("format") if isinstance(doc, dict) else None) != MODEL_FORMAT:
+        what = "not a model file" if found is None else f"model format {found!r}, not {MODEL_FORMAT}"
+        raise ValueError(f"{args.model}: {what}")
     fitted = FittedPipeline.from_dict(doc)
     expected, hint = fitted.scheme.names, dict(zip(fitted.scheme.names, fitted.scheme.kinds))
     token = doc["missing_token"] if args.missing_token is None else args.missing_token

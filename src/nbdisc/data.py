@@ -201,7 +201,11 @@ def load_csv(
 def _parse_records(path: str | Path, header: list[str] | None, records: list[list[str]],
                    first_row: int, schema_hint: Mapping[str, AttributeKind] | None,
                    missing_token: str, labeled: bool) -> Dataset:
-    """Parse ``records`` (file rows from ``first_row``); ``labeled`` rejects a missing label."""
+    """Parse ``records`` (file rows from ``first_row``).
+
+    ``labeled`` codes the class column and rejects a missing label; otherwise
+    the column is not read, and every row gets the one class ``missing_token``.
+    """
     if header is None:
         raise ValueError(f"{path}: empty file")
     if len(header) < 2:
@@ -213,9 +217,12 @@ def _parse_records(path: str | Path, header: list[str] | None, records: list[lis
             raise ValueError(f"{path}: row {i} has {len(record)} cells, expected {len(header)}")
 
     names = header[:-1]
-    classes, label_codes = class_codes(list(map(itemgetter(-1), records)))
-    if labeled and (classes == missing_token).any():
-        raise ValueError(f"{path}: missing class label")
+    if labeled:
+        classes, label_codes = class_codes(list(map(itemgetter(-1), records)))
+        if (classes == missing_token).any():
+            raise ValueError(f"{path}: missing class label")
+    else:
+        classes, label_codes = np.array([missing_token], dtype=object), np.zeros(len(records), np.intp)
 
     columns: list[np.ndarray] = []
     kinds: list[AttributeKind] = []

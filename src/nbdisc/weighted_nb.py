@@ -1,8 +1,8 @@
 """Naive Bayes on discrete attributes, with trained attribute exponents.
 
-The base model holds add-one-smoothed class priors and per-attribute
-conditional tables.  Weighted variants raise conditional probabilities to
-learned exponents before combining:
+The base model holds class and per-attribute counts, and derives the
+add-one-smoothed class priors and conditional tables from them.  Weighted
+variants raise conditional probabilities to learned exponents before combining:
 
     score(c) = log prior(c) + sum_j e[c, j] * log cond(j, x_j | c)
 
@@ -78,13 +78,29 @@ def encode_discrete(
 
 @dataclass
 class NbModel:
-    """Smoothed class priors and per-attribute conditional tables."""
+    """Class counts and one (classes, arity) count table per attribute, with the
+    add-one-smoothed priors and conditional tables derived from them.
+
+    ``priors = (N_c + 1) / (N + C)`` and ``cond[j] = (counts[j] + 1) / (N_c + arity_j)``
+    are derived here, for a fitted and a loaded model alike; ``arity`` is the
+    tables' widths.  Every array is read-only.
+    """
 
     classes: list[str]
     class_counts: np.ndarray
-    priors: np.ndarray
-    cond: list[np.ndarray]
-    arity: tuple[int, ...]
+    counts: list[np.ndarray]
+    priors: np.ndarray = field(init=False)
+    cond: list[np.ndarray] = field(init=False)
+    arity: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.class_counts = n_c = np.asarray(self.class_counts, dtype=np.int64)
+        self.counts = [np.asarray(t, dtype=np.int64) for t in self.counts]
+        self.arity = tuple(t.shape[1] for t in self.counts)
+        self.priors = (n_c + 1.0) / (n_c.sum() + len(self.classes))
+        self.cond = [(t + 1.0) / (n_c[:, None] + a) for t, a in zip(self.counts, self.arity)]
+        for array in (self.class_counts, *self.counts, self.priors, *self.cond):
+            array.flags.writeable = False
 
     @property
     def n_classes(self) -> int:
@@ -120,30 +136,20 @@ def identity_params(model: NbModel) -> WeightedParams:
 
 
 def fit_nb(table: DiscreteTable, labels: Sequence[str] | np.ndarray) -> NbModel:
-    """Count-based fit with add-one smoothing; the classes are the sorted distinct labels."""
+    """Class and (class, value) counts; the classes are the sorted distinct labels."""
     n = table.n_rows
     if n == 0:
         raise ValueError("empty training set")
     if len(labels) != n:
         raise ValueError("labels must align with rows")
     classes, codes = class_codes(labels)
-    classes = classes.tolist()
-    class_counts = np.bincount(codes, minlength=len(classes)).astype(np.int64)
-    priors = (class_counts + 1.0) / (n + len(classes))
-    cond = []
+    counts = []
     for j, a in enumerate(table.arity):
         col = table.x[:, j]
         if (col < 0).any() or (col >= a).any():
             raise ValueError(f"attribute {table.names[j]!r}: value index out of arity range")
-        counts = np.bincount(codes * a + col, minlength=len(classes) * a).reshape(-1, a)
-        cond.append((counts + 1.0) / (class_counts[:, None] + a))
-    return NbModel(
-        classes=classes,
-        class_counts=class_counts,
-        priors=priors,
-        cond=cond,
-        arity=table.arity,
-    )
+        counts.append(np.bincount(codes * a + col, minlength=len(classes) * a).reshape(-1, a))
+    return NbModel(classes.tolist(), np.bincount(codes, minlength=len(classes)), counts)
 
 
 # --- scoring ----------------------------------------------------------------
@@ -421,10 +427,8 @@ def train_cawnb(
 def model_to_dict(model: NbModel, params: WeightedParams) -> dict:
     return {
         "classes": list(model.classes),
-        "class_counts": [int(c) for c in model.class_counts],
-        "priors": [float(p) for p in model.priors],
-        "cond": [[[float(v) for v in row] for row in table] for table in model.cond],
-        "arity": list(model.arity),
+        "class_counts": model.class_counts.tolist(),
+        "counts": [table.tolist() for table in model.counts],
         "W": [[float(v) for v in row] for row in params.W],
         "w": [float(v) for v in params.w],
         "alpha": float(params.alpha),
@@ -432,16 +436,5 @@ def model_to_dict(model: NbModel, params: WeightedParams) -> dict:
 
 
 def model_from_dict(doc: dict) -> tuple[NbModel, WeightedParams]:
-    model = NbModel(
-        classes=list(doc["classes"]),
-        class_counts=np.asarray(doc["class_counts"], dtype=np.int64),
-        priors=np.asarray(doc["priors"], dtype=float),
-        cond=[np.asarray(t, dtype=float) for t in doc["cond"]],
-        arity=tuple(int(a) for a in doc["arity"]),
-    )
-    params = WeightedParams(
-        W=np.asarray(doc["W"], dtype=float),
-        w=np.asarray(doc["w"], dtype=float),
-        alpha=float(doc["alpha"]),
-    )
-    return model, params
+    model = NbModel(list(doc["classes"]), doc["class_counts"], doc["counts"])
+    return model, WeightedParams(doc["W"], doc["w"], float(doc["alpha"]))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import count_node_evaluations, strict_json
+from helpers import count_node_evaluations, load_bench_gen, strict_json
 
 import nbdisc
 from nbdisc import cli
@@ -22,12 +22,28 @@ from nbdisc.cli import main
 from nbdisc.data import load_csv
 from nbdisc.discretize import load_scheme
 from nbdisc.evaluate import (
+    CLASSIFIERS,
     FittedPipeline,
     PipelineConfig,
     config_from_dict,
     config_hash,
     fit_pipeline,
 )
+
+
+@pytest.fixture(scope="module", autouse=True)
+def models_are_strict_json():
+    """Every model file that `nbdisc train` writes here parses as strict JSON."""
+    train = cli.cmd_train
+
+    def checked(args):
+        code = train(args)
+        strict_json(Path(args.output).read_text())
+        return code
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "cmd_train", checked)
+        yield
 
 
 @pytest.fixture()
@@ -239,6 +255,33 @@ class TestTrainPredict:
         model_path.write_text(json.dumps(doc))
         assert main(["predict", str(model_path), str(separable_csv)]) == 2
         assert capsys.readouterr().err == f"error: {model_path}: not a model file\n"
+
+    def test_json_that_is_not_an_object_is_not_a_model(self, separable_csv, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text("[1, 2]\n")
+        assert main(["predict", str(model_path), str(separable_csv)]) == 2
+        assert capsys.readouterr().err == f"error: {model_path}: not a model file\n"
+
+    def test_v1_model_file_rejected_by_its_format(self, separable_csv, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        main(["train", str(separable_csv), "--output", str(model_path), "--max-iter", "0"])
+        doc = json.loads(model_path.read_text())
+        model_path.write_text(json.dumps({**doc, "format": "nbdisc-model-v1"}))
+        assert main(["predict", str(model_path), str(separable_csv)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {model_path}: model format 'nbdisc-model-v1', not nbdisc-model-v2\n"
+        )
+
+    def test_model_file_keys(self, separable_csv, tmp_path):
+        model_path = tmp_path / "model.json"
+        main(["train", str(separable_csv), "--output", str(model_path), "--max-iter", "0"])
+        doc = strict_json(model_path.read_text())
+        assert sorted(doc) == ["config", "format", "imputation", "missing_token", "model",
+                               "scheme", "vocab"]
+        assert sorted(doc["model"]) == ["W", "alpha", "class_counts", "classes", "counts", "w"]
+        # one cut splits x by class; color's vocabulary is [blue, red], and A rows are red
+        assert doc["model"]["class_counts"] == [30, 30]
+        assert doc["model"]["counts"] == [[[30, 0], [0, 30]], [[0, 30], [30, 0]]]
 
     def test_empty_missing_token_overrides_model(self, separable_csv, tmp_path):
         # the model keeps its training token `?`; an explicit empty token still wins
@@ -466,13 +509,16 @@ class TestStreamingPredict:
         assert main(["train", str(iris_path), "--max-iter", "20", "--output", str(model_path)]) == 0
         header, *rows = list(csv.reader(iris_path.open(newline="")))
         outputs = []
-        for placeholder in ("?", ""):
-            scored = _write_rows(tmp_path / "scored.csv", header,
-                                 [[*row[:-1], placeholder] for row in rows[:2]])
+        for placeholder in ("?", "", "distinct"):
+            scored = _write_rows(tmp_path / "scored.csv", header, [
+                [*row[:-1], f"label{i}" if placeholder == "distinct" else placeholder]
+                for i, row in enumerate(rows)
+            ])
             preds = tmp_path / f"preds{len(outputs)}.csv"
             assert main(["predict", str(model_path), str(scored), "--output", str(preds)]) == 0
             outputs.append(preds.read_bytes())
-        assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 3
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert len(outputs[0].splitlines()) == len(rows) + 1
 
     def test_peak_memory_does_not_grow_with_the_file(self, separable_csv, tmp_path, monkeypatch):
         model_path = tmp_path / "model.json"
@@ -504,6 +550,49 @@ def write_manifest(tmp_path, iris_path, configs, **extra):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
     return path
+
+
+RARE_TOKEN = "v9"  # gen.py writes the levels v0..v4 only
+
+
+@pytest.fixture(scope="module")
+def mixed_files(tmp_path_factory):
+    """A gen.py training file and a scored file whose ``cat0`` holds a token
+    outside the training vocabulary in every fifth row."""
+    gen = load_bench_gen()
+    shape = gen.Shape(numeric=3, categorical=2, classes=3, missing=0.05, separation=0.8)
+    directory = tmp_path_factory.mktemp("mixed")
+    header, *train = gen.generate(shape, 300, 0, stream=0)
+    header, *scored = gen.generate(shape, 100, 0, stream=1)
+    for record in scored[::5]:
+        record[header.index("cat0")] = RARE_TOKEN
+    return (_write_rows(directory / "train.csv", header, train),
+            _write_rows(directory / "scored.csv", header, scored))
+
+
+class TestModelFileRoundTrip:
+    @pytest.mark.parametrize("classifier", CLASSIFIERS)
+    @pytest.mark.parametrize("method", ["mdlp", "sadd"])
+    def test_loaded_model_scores_bit_for_bit(self, method, classifier, mixed_files, tmp_path):
+        train, scored = mixed_files
+        model_path = tmp_path / "model.json"
+        assert main(["train", str(train), "--method", method, "--classifier", classifier,
+                     "--max-iter", "20", "--output", str(model_path)]) == 0
+        loaded = FittedPipeline.from_dict(json.loads(model_path.read_text()))
+        config = PipelineConfig(method=method, classifier=classifier, max_iter=20)
+        fitted, _ = fit_pipeline(load_csv(train), config)
+        cat0 = loaded.scheme.names.index("cat0")
+        assert RARE_TOKEN not in loaded.vocab[cat0]
+
+        for got, want in zip((loaded.model.priors, *loaded.model.cond),
+                             (fitted.model.priors, *fitted.model.cond)):
+            assert got.tobytes() == want.tobytes()
+        query = load_csv(scored, schema_hint=dict(zip(loaded.scheme.names, loaded.scheme.kinds)))
+        assert RARE_TOKEN in query.vocab[cat0]
+        got_labels, got = loaded.predict(query)
+        want_labels, want = fitted.predict(query)
+        assert got_labels.tolist() == want_labels.tolist()
+        assert got.tobytes() == want.tobytes()
 
 
 class TestBenchCommand:

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import load_bench_gen
+from helpers import load_bench_gen, strict_json
 from nbdisc.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -122,6 +122,7 @@ def _bench(name: str, data: Path, configs: list[dict], work: Path, jobs: int) ->
 def _train_predict(data: Path, score: Path, work: Path, *train_args: str) -> list[Path]:
     model, preds = work / "model.json", work / "preds.csv"
     assert main(["train", str(data), *train_args, "--output", str(model)]) == 0
+    strict_json(model.read_text())
     assert main(["predict", str(model), str(score), "--output", str(preds)]) == 0
     return [model, preds]
 

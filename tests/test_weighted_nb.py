@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -487,7 +486,7 @@ class TestTrainers:
     def test_non_finite_initial_objective_raises(self, four_row):
         # value 1, which training rows take, has probability 0 under every class
         table, labels, model = four_row
-        model = replace(model, cond=[np.array([[1.0, 0.0], [1.0, 0.0]])])
+        model.cond = [np.array([[1.0, 0.0], [1.0, 0.0]])]
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(RuntimeError, match="^non-finite objective at initialization$"):
                 train_rnb(table, labels, model=model)
@@ -560,6 +559,18 @@ class TestEncodeAndSerialize:
             posterior_batch(model2, params2, table.x),
             posterior_batch(model, result.params, table.x),
         )
+        assert model2.arity == model.arity
+        for got, want in zip((model2.priors, *model2.cond), (model.priors, *model.cond)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_model_tables_are_read_only(self, iris_table):
+        table, labels = iris_table
+        model = fit_nb(table, labels)
+        loaded, _ = model_from_dict(model_to_dict(model, identity_params(model)))
+        for m in (model, loaded):
+            for array in (m.class_counts, *m.counts, m.priors, *m.cond):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
 
 
 @pytest.mark.parametrize("call, message", [
